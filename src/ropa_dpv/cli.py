@@ -32,6 +32,7 @@ from .rdf_export import (
     serialize_jsonld,
     serialize_turtle,
 )
+from .records import is_absolute_iri
 from .registry import Jurisdiction, load_registry
 from .template_io import (
     convert,
@@ -291,6 +292,10 @@ def _cmd_export(args) -> int:
     if args.json and not args.out:
         print("ropa: error: --json requires --out (stdout carries the RDF)", file=sys.stderr)
         return 2
+    for flag, iri in (("--base", args.base), ("--ropaex", args.ropaex)):
+        if not is_absolute_iri(iri):
+            print(f"ropa: error: {flag} is not an absolute IRI: {iri!r}", file=sys.stderr)
+            return 2
     registry = load_registry()
     records, warnings = parse_canonical(_read_file(args.input), registry)
     _print_warnings(warnings)
@@ -385,3 +390,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -12,7 +12,14 @@ processing verbs (``dpv:Combine``, ``dpv:Transfer``) are instead emitted as
 objects of ``ropaex:usesProcessing``.  These conventions stand in for real
 DPV property IRIs and are meant to be revisited if those differ.
 
-Both serializers are byte-deterministic for equal graphs.
+Both serializers are byte-deterministic for equal graphs:
+
+* Turtle lines are sorted by the N-Triples form of (subject, predicate,
+  object); blank labels are numbered in emission order (``_:c0``, ``_:c1``,
+  ...), so ``_:c10`` sorts before ``_:c2``.
+* JSON-LD nodes are sorted by ``@id`` and each entry list by the entry's
+  JSON text, which is not N-Triples order (``"a\\b"`` sorts before
+  ``"a\\u0001"`` as JSON and after it as N-Triples).
 """
 
 from __future__ import annotations
@@ -125,6 +132,13 @@ def _expand(term: str, ropaex: str) -> str:
     return (DPV_NS if prefix == "dpv" else ropaex) + local
 
 
+_DATATYPES = {
+    ValueKind.BOOLEAN: XSD_NS + "boolean",
+    ValueKind.DURATION: XSD_NS + "duration",
+    ValueKind.DATE: XSD_NS + "date",
+}
+
+
 def _value_node(value, schema, base: str) -> Node:
     kind = value.kind
     if kind in (ValueKind.TERM, ValueKind.TERM_LIST):
@@ -132,13 +146,7 @@ def _value_node(value, schema, base: str) -> Node:
         return Node.iri(f"{base}/term/{vocab}/{quote(value.lexical, safe='')}")
     if kind is ValueKind.URI:
         return Node.iri(value.value)
-    if kind is ValueKind.BOOLEAN:
-        return Node.literal(value.lexical, datatype=XSD_NS + "boolean")
-    if kind is ValueKind.DURATION:
-        return Node.literal(value.lexical, datatype=XSD_NS + "duration")
-    if kind is ValueKind.DATE:
-        return Node.literal(value.lexical, datatype=XSD_NS + "date")
-    return Node.literal(value.lexical)
+    return Node.literal(value.lexical, datatype=_DATATYPES.get(kind))
 
 
 def _record_triples(
@@ -149,61 +157,30 @@ def _record_triples(
     labels: Iterable[int],
 ) -> list[Triple]:
     root = Node.iri(f"{base}/record/{record.record_id}")
-    triples = [
-        Triple(root, Node.iri(RDF_NS + "type"), Node.iri(DPV_NS + "PersonalDataHandling")),
-        Triple(
-            root,
-            Node.iri(ropaex + "controllerName"),
-            Node.literal(record.controller_name),
-        ),
-        Triple(
-            root,
-            Node.iri(ropaex + "created"),
-            Node.literal(record.created, datatype=XSD_NS + "dateTime"),
-        ),
+    rows = [
+        (root, RDF_NS + "type", Node.iri(DPV_NS + "PersonalDataHandling")),
+        (root, ropaex + "controllerName", Node.literal(record.controller_name)),
+        (root, ropaex + "created", Node.literal(record.created, XSD_NS + "dateTime")),
     ]
     for cid in sorted(record.fields, key=registry.table_index):
         descriptor = registry.concept(cid)
-        values = record.fields[cid]
         terms = descriptor.dpv_terms
+        values = [_value_node(v, descriptor.value_schema, base) for v in record.fields[cid]]
         if descriptor.outcome is MappingOutcome.NONE or not terms:
-            predicate = Node.iri(ropaex + _camel(cid))
-            for v in values:
-                triples.append(
-                    Triple(root, predicate, _value_node(v, descriptor.value_schema, base))
-                )
+            predicate, objects = ropaex + _camel(cid), values
         elif terms[0] in PROCESSING_VERB_TERMS:
-            predicate = Node.iri(ropaex + "usesProcessing")
-            for _ in values:
-                triples.append(
-                    Triple(root, predicate, Node.iri(_expand(terms[0], ropaex)))
-                )
+            predicate, objects = ropaex + "usesProcessing", [Node.iri(_expand(terms[0], ropaex))]
         else:
-            _, local = terms[0].split(":", 1)
-            predicate = Node.iri(DPV_NS + "has" + local)
-            for v in values:
-                triples.append(
-                    Triple(root, predicate, _value_node(v, descriptor.value_schema, base))
-                )
+            predicate, objects = DPV_NS + "has" + terms[0].split(":", 1)[1], values
+        rows += [(root, predicate, o) for o in objects]
         usage = Node.blank(f"c{next(labels)}")
-        triples.append(Triple(root, Node.iri(ropaex + "conceptUsage"), usage))
-        triples.append(Triple(usage, Node.iri(ropaex + "concept"), Node.literal(cid)))
-        triples.append(
-            Triple(
-                usage,
-                Node.iri(ropaex + "mappingOutcome"),
-                Node.literal(descriptor.outcome.value),
-            )
-        )
-        for extra in terms[1:]:
-            triples.append(
-                Triple(
-                    usage,
-                    Node.iri(ropaex + "alsoMapsTo"),
-                    Node.iri(_expand(extra, ropaex)),
-                )
-            )
-    return triples
+        rows += [
+            (root, ropaex + "conceptUsage", usage),
+            (usage, ropaex + "concept", Node.literal(cid)),
+            (usage, ropaex + "mappingOutcome", Node.literal(descriptor.outcome.value)),
+        ]
+        rows += [(usage, ropaex + "alsoMapsTo", Node.iri(_expand(t, ropaex))) for t in terms[1:]]
+    return [Triple(s, Node.iri(p), o) for s, p, o in rows]
 
 
 def to_graph(
@@ -240,45 +217,10 @@ def records_to_graph(
 # -- serialization ---------------------------------------------------------------
 
 
-def _escape_literal(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _ntriples_term(node: Node) -> str:
-    if node.kind is NodeKind.IRI:
-        return f"<{node.value}>"
-    if node.kind is NodeKind.BLANK:
-        return f"_:{node.value}"
-    rendered = f'"{_escape_literal(node.value)}"'
-    if node.datatype:
-        rendered += f"^^<{node.datatype}>"
-    elif node.language:
-        rendered += f"@{node.language}"
-    return rendered
-
-
-def _sort_key(triple: Triple) -> tuple[str, str, str]:
-    return (
-        _ntriples_term(triple.subject),
-        _ntriples_term(triple.predicate),
-        _ntriples_term(triple.object),
-    )
+#: String escapes: ECHAR for backslash, quote, LF, CR and tab; UCHAR for other C0 controls.
+_ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+)
 
 
 def _compact(iri: str, namespaces: Sequence[tuple[str, str]]) -> str | None:
@@ -290,31 +232,34 @@ def _compact(iri: str, namespaces: Sequence[tuple[str, str]]) -> str | None:
     return None
 
 
-def _turtle_term(node: Node, namespaces: Sequence[tuple[str, str]]) -> str:
+def _term(node: Node, namespaces: Sequence[tuple[str, str]] = ()) -> str:
+    """The N-Triples form of ``node``, or with ``namespaces`` its Turtle form,
+    in which IRIs and datatypes are compacted to prefixed names where possible."""
     if node.kind is NodeKind.IRI:
         return _compact(node.value, namespaces) or f"<{node.value}>"
     if node.kind is NodeKind.BLANK:
         return f"_:{node.value}"
-    rendered = f'"{_escape_literal(node.value)}"'
+    rendered = f'"{node.value.translate(_ESCAPES)}"'
     if node.datatype:
-        rendered += "^^" + (_compact(node.datatype, namespaces) or f"<{node.datatype}>")
-    elif node.language:
-        rendered += f"@{node.language}"
+        return rendered + "^^" + (_compact(node.datatype, namespaces) or f"<{node.datatype}>")
+    if node.language:
+        return f"{rendered}@{node.language}"
     return rendered
 
 
 def serialize_turtle(graph: TripleGraph) -> str:
     """Valid Turtle: fixed prefix block, then one sorted triple per line."""
-    lines = [f"@prefix {prefix}: <{ns}> ." for prefix, ns in graph.namespaces]
-    triples = sorted(graph.triples, key=_sort_key)
+    ns = graph.namespaces
+    lines = [f"@prefix {prefix}: <{iri}> ." for prefix, iri in ns]
+    triples = sorted(
+        graph.triples, key=lambda t: (_term(t.subject), _term(t.predicate), _term(t.object))
+    )
     if triples:
         lines.append("")
-    for t in triples:
-        lines.append(
-            f"{_turtle_term(t.subject, graph.namespaces)} "
-            f"{_turtle_term(t.predicate, graph.namespaces)} "
-            f"{_turtle_term(t.object, graph.namespaces)} ."
-        )
+    lines += [
+        f"{_term(t.subject, ns)} {_term(t.predicate, ns)} {_term(t.object, ns)} ."
+        for t in triples
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -337,7 +282,8 @@ def serialize_jsonld(graph: TripleGraph) -> str:
     """JSON-LD with a fixed ``@context``; nodes and keys fully sorted."""
     namespaces = graph.namespaces
     nodes: dict[str, dict] = {}
-    for t in sorted(graph.triples, key=_sort_key):
+    # Every list below is sorted before output, so triple order is irrelevant.
+    for t in graph.triples:
         sid = _node_ref(t.subject)
         node = nodes.setdefault(sid, {"@id": sid})
         if t.predicate.value == RDF_NS + "type" and t.object.kind is NodeKind.IRI:

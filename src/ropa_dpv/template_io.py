@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import csv
 import io
-import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import DuplicateCell, HeaderMismatch, MalformedCsv, UnknownConcept
 from .records import (
+    _RECORD_ID_RE,
     FieldValue,
     Multiplicity,
     RopaRecord,
@@ -42,8 +42,6 @@ META_CREATED = "_meta:created"
 #: Metadata defaults for records deserialized without their _meta rows.
 FALLBACK_CONTROLLER_NAME = "(unknown)"
 FALLBACK_CREATED = "1970-01-01T00:00:00+00:00"
-
-_RECORD_ID_RE = re.compile(r"[A-Za-z0-9._~-]+\Z")
 
 
 class LossReason(str, Enum):

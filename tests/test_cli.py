@@ -1,9 +1,14 @@
 """CLI contract: subcommands, exit codes, text/JSON agreement."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ropa_dpv
 from ropa_dpv import (
     Jurisdiction,
     load_registry,
@@ -132,6 +137,17 @@ def test_export_json_requires_out(capsys, mandatory_record_file):
     assert "requires --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--base", "not an iri"), ("--ropaex", "x y")])
+def test_export_rejects_bad_iri_flags(capsys, mandatory_record_file, flag, value):
+    code = cli_main(
+        ["export", "--input", str(mandatory_record_file), "--format", "turtle", flag, value]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ropa: error: {flag} is not an absolute IRI: {value!r}\n"
+
+
 def test_query_hits_exit_one(capsys, tmp_path, registry, empty_record):
     record = populate(
         empty_record, registry, ["third-countries-that-personal-data-are-transferred-to"]
@@ -216,6 +232,17 @@ def test_missing_file_exit_two(capsys):
     code = cli_main(["validate", "--input", "/nonexistent/r.csv", "--article30"])
     assert code == 2
     assert "ropa: error:" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_cli():
+    paths = [str(Path(ropa_dpv.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-m", "ropa_dpv.cli", "stats"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("concepts: 43 ")
 
 
 def test_usage_error_exit_two(capsys):

@@ -103,6 +103,8 @@ def test_unknown_concept_and_container_rejected(registry):
         (ValueKind.COUNTRY_LIST, "us"),
         (ValueKind.URI, "not a uri"),
         (ValueKind.URI, "relative/path"),
+        (ValueKind.URI, "http://a/\x01b"),
+        (ValueKind.URI, "http://a/b\x00"),
         (ValueKind.DATE, "2024-13-01"),
         (ValueKind.TERM, ""),
         (ValueKind.BOOLEAN, "true"),

@@ -62,6 +62,15 @@ def test_parse_drops_bad_duration_with_warning(registry):
     assert not records[0].has("retention-deletion-periods")
 
 
+def test_parse_drops_iri_with_control_character_with_warning(registry):
+    text = HEADER + META + "pa-1,privacy-notice,0,URI,http://a/\x01b\n"
+    records, warnings = parse_canonical(text, registry)
+    assert len(warnings) == 1
+    assert "privacy-notice" in warnings[0]
+    assert "line 4" in warnings[0]
+    assert not records[0].has("privacy-notice")
+
+
 def test_parse_duplicate_cell(registry):
     text = HEADER + META + (
         "pa-1,processor,0,TEXT,One Corp\n"
