@@ -7,9 +7,11 @@ from ropa_dpv import (
     FieldValue,
     Jurisdiction,
     Multiplicity,
+    RopaRecord,
     ValueKind,
     convert,
     default_config,
+    gap_matrix,
     load_registry,
     new_record,
     parse_canonical,
@@ -145,8 +147,6 @@ def test_validators_monotone_under_field_addition(record, data):
 @_settings
 @given(record=ropa_records(), data=st.data())
 def test_gap_matrix_ready_monotone(record, data):
-    from ropa_dpv import gap_matrix
-
     absent = sorted(set(ALL_IDS) - record.populated())
     if not absent:
         return
@@ -157,3 +157,46 @@ def test_gap_matrix_ready_monotone(record, data):
     for j in Jurisdiction:
         if before[j].ready:
             assert after[j].ready
+
+# Values ``set_field`` would refuse: one of every kind, so most are of the
+# wrong kind for the concept, plus terms missing from the seeded vocabularies.
+_OFF_SCHEMA_VALUES = [
+    FieldValue(ValueKind.TEXT, "free text"),
+    FieldValue(ValueKind.TEXT_LIST, "list item"),
+    FieldValue(ValueKind.TERM, "unseeded-term"),
+    FieldValue(ValueKind.TERM_LIST, "unseeded-term"),
+    FieldValue(ValueKind.DURATION, "P1Y"),
+    FieldValue(ValueKind.COUNTRY_LIST, "US"),
+    FieldValue(ValueKind.BOOLEAN, True),
+    FieldValue(ValueKind.URI, "https://example.com/x"),
+    FieldValue(ValueKind.DATE, "2024-01-15"),
+]
+
+
+@st.composite
+def hand_built_records(draw):
+    """Records built without ``set_field``: wrong-kind values, several values
+    on single-valued concepts, and unknown terms of seeded vocabularies."""
+    fields = {}
+    for cid in draw(st.lists(st.sampled_from(ALL_IDS), unique=True, max_size=20)):
+        kind = REGISTRY.concept(cid).value_schema.kind
+        own = [FieldValue(kind, "unseeded-term")] if "TERM" in kind.value else []
+        candidates = st.one_of(
+            st.sampled_from(draw(_value_strategy(cid)) + own),
+            st.sampled_from(_OFF_SCHEMA_VALUES),
+        )
+        fields[cid] = tuple(draw(st.lists(candidates, min_size=1, max_size=3)))
+    return RopaRecord(draw(_record_id), "Hand Built Ltd", CREATED, fields)
+
+
+@_settings
+@given(record=st.one_of(ropa_records(), hand_built_records()))
+def test_gap_matrix_agrees_with_profile_validation(record):
+    matrix = gap_matrix(record, REGISTRY)
+    assert list(matrix) == list(Jurisdiction)
+    for j in Jurisdiction:
+        report = validate_against_profile(record, REGISTRY.profiles[j], REGISTRY)
+        status = matrix[j]
+        assert status.errors == report.error_count
+        assert status.warnings == report.warning_count
+        assert status.ready == (not report.findings)

@@ -1,6 +1,7 @@
 """Canonical interchange parsing/writing and template conversion."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -121,6 +122,79 @@ def test_parse_warns_on_unknown_concept_and_kind(registry):
     assert not records[0].has("processor")
 
 
+def test_parse_interleaved_records_pins_warning_order(registry):
+    # pa-a is started, then pa-b, then more of pa-a; every warning kind occurs
+    text = HEADER + (
+        "pa-a,_meta:controller_name,0,TEXT,Acme GmbH\n"
+        "pa-a,processor,0,TEXT,One Corp\n"
+        "pa-b,_meta:created,0,TEXT,not a timestamp\n"
+        "pa-b,mystery-concept,0,TEXT,x\n"
+        "pa-b,processor,0,GIBBERISH,x\n"
+        "pa-a,_meta:created,0,TEXT,2024-03-01T10:00:00+00:00\n"
+        "pa-a,_meta:controller_name,1,TEXT,Other Ltd\n"
+        "pa-a,_meta:owner,0,TEXT,x\n"
+        "pa-a,processor,1,TERM,x\n"
+        "pa-a,retention-deletion-periods,0,DURATION,soon\n"
+        "pa-a,data-controller,1,TEXT,Second\n"
+        "pa-a,data-controller,0,TEXT,First\n"
+        "pa-b,processor,1,TEXT,Kept Corp\n"
+        "pa-c,_meta:controller_name,0,TEXT,\n"
+        "pa-a,privacy-notice,0,URI,https://example.com/privacy\n"
+    )
+    records, warnings = parse_canonical(text, registry)
+    assert warnings == [
+        "line 8: extra _meta:controller_name value(s) ignored",
+        "line 10: 'processor' expects TEXT, got TERM; value dropped",
+        "line 9: unknown metadata row '_meta:owner' ignored",
+        "line 11: 'retention-deletion-periods': not an ISO-8601 duration: 'soon'; "
+        "value dropped",
+        "line 13: 'data-controller' holds a single value; 1 extra value(s) dropped",
+        "line 5: unknown concept 'mystery-concept'; values dropped",
+        "line 6: unknown value kind 'GIBBERISH' for 'processor'; value dropped",
+        "record 'pa-b': missing _meta:controller_name; using '(unknown)'",
+        "record 'pa-b': invalid created timestamp 'not a timestamp'; "
+        "using '1970-01-01T00:00:00+00:00'",
+        "record 'pa-c': missing _meta:controller_name; using '(unknown)'",
+        "record 'pa-c': missing _meta:created; using '1970-01-01T00:00:00+00:00'",
+    ]
+    text_value = lambda v: FieldValue(ValueKind.TEXT, v)  # noqa: E731
+    assert records == [
+        RopaRecord(
+            "pa-a", "Acme GmbH", CREATED,
+            {
+                "processor": (text_value("One Corp"),),
+                "data-controller": (text_value("First"),),
+                "privacy-notice": (
+                    FieldValue(ValueKind.URI, "https://example.com/privacy"),
+                ),
+            },
+        ),
+        RopaRecord(
+            "pa-b", "(unknown)", "1970-01-01T00:00:00+00:00",
+            {"processor": (text_value("Kept Corp"),)},
+        ),
+        RopaRecord("pa-c", "(unknown)", "1970-01-01T00:00:00+00:00", {}),
+    ]
+    assert [list(r.fields) for r in records] == [
+        ["processor", "data-controller", "privacy-notice"], ["processor"], [],
+    ]
+
+
+def test_parse_reports_earliest_non_contiguous_cell(registry):
+    # pa-b's broken cell appears in the file before pa-a's, though pa-a
+    # is the first record
+    text = HEADER + (
+        "pa-a,_meta:controller_name,0,TEXT,Acme GmbH\n"
+        "pa-b,processor,1,TEXT,B Corp\n"
+        "pa-a,processor,2,TEXT,A Corp\n"
+    )
+    with pytest.raises(MalformedCsv) as excinfo:
+        parse_canonical(text, registry)
+    assert str(excinfo.value) == (
+        "line 3: value_index not contiguous from 0 for ('pa-b', 'processor')"
+    )
+
+
 def test_parse_missing_metadata_gets_placeholders(registry):
     text = HEADER + "pa-1,processor,0,TEXT,One Corp\n"
     records, warnings = parse_canonical(text, registry)
@@ -168,6 +242,27 @@ def test_default_configs_cover_profiles(registry):
         config = default_config(registry, j)
         assert set(config.concept_ids) == registry.profiles[j].concepts
         assert len(set(config.headers)) == len(config.headers)
+
+
+# SHA-256 of the header-to-concept CSVs once shipped as data/templates/*.csv.
+_TEMPLATE_CONFIG_SHA256 = {
+    Jurisdiction.BE: "e8d5deff59af34f7a579764a1d73770145ee0b911fb67d9e651b1f503ed42f26",
+    Jurisdiction.CY: "d194502328e715cc76f9a2d989acf610e5524c8b965ebc9aadc0e17d08120e6f",
+    Jurisdiction.DK: "7b43403dedc90cde3de08c4577826f3cfb3920841c874f4ffd8863fd06640353",
+    Jurisdiction.FI: "d40968b33fb99a262d806ccd3e5c8a9622dee3b7b4e5ad6ed738e701dcec64fb",
+    Jurisdiction.LU: "8002c31537c6bb9bcd107623af70b6d9a888237ed6f3e04406a6468e7f034cd8",
+    Jurisdiction.UK: "e7b987108ea32a46fb52fbb354bbd08b07902fbbd6508c5d108807619a7214e9",
+}
+
+
+@pytest.mark.parametrize("jurisdiction", list(Jurisdiction))
+def test_default_config_matches_former_packaged_file(registry, jurisdiction):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("external_header", "concept_id"))
+    writer.writerows(default_config(registry, jurisdiction).column_map)
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == _TEMPLATE_CONFIG_SHA256[jurisdiction]
 
 
 def test_make_config_rejects_bad_maps(registry):
@@ -272,16 +367,29 @@ def test_import_drops_invalid_values_with_warning(registry):
     assert len(warnings) == 1
 
 
-def test_import_escaped_semicolon(registry):
+@pytest.mark.parametrize(
+    "cell, expected",
+    [
+        ("encryption\\;at rest;audits", ["encryption;at rest", "audits"]),
+        (r"a\;b", ["a;b"]),
+        (r"a\\;b", ["a\\;b"]),
+        (r"\;;", [";", ""]),
+        ("a\\", ["a\\"]),
+        (";", ["", ""]),
+    ],
+    ids=["encryption", "escaped", "backslash-escaped", "escaped-then-split",
+         "trailing-backslash", "split-only"],
+)
+def test_import_escaped_semicolon(registry, cell, expected):
     config = make_config(
         Jurisdiction.UK,
         [("Measures", "technical-and-organizational-measures-of-security")],
         registry,
     )
-    text = 'Measures\n"encryption\\;at rest;audits"\n'
+    text = f'Measures\n"{cell}"\n'
     records, _ = import_template(text, config, registry)
     values = records[0].values("technical-and-organizational-measures-of-security")
-    assert [v.value for v in values] == ["encryption;at rest", "audits"]
+    assert [v.value for v in values] == expected
 
 
 # -- template export -----------------------------------------------------------
