@@ -45,8 +45,7 @@ for j, status in gap_matrix(record, registry).items():
           f"({status.errors} errors, {status.warnings} warnings)")
 
 # Converting to a leaner template is lossy, and the loss is reported.
-uk, cy = default_config(registry, Jurisdiction.UK), default_config(registry, Jurisdiction.CY)
-converted, loss = convert(record, uk, cy, registry)
+converted, loss = convert(record, default_config(registry, Jurisdiction.CY), registry)
 print(f"\nUK -> CY conversion retained {loss.retained_count} concepts")
 for concept_id, reason in loss.lost:
     print(f"  lost {concept_id} ({reason.value})")

@@ -42,7 +42,6 @@ from .records import (
     ValueKind,
     ValueSchema,
     field_values,
-    get_field,
     new_record,
     set_field,
 )
@@ -96,7 +95,7 @@ __all__ = [
     "SelfCheckReport", "load_registry",
     # records
     "FieldValue", "Multiplicity", "RopaRecord", "ValueKind", "ValueSchema",
-    "field_values", "get_field", "new_record", "set_field",
+    "field_values", "new_record", "set_field",
     # validation
     "FindingCode", "GapStatus", "Severity", "ValidationFinding",
     "ValidationReport", "gap_matrix", "validate_against_profile",

@@ -77,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert records between template shapes")
     p.add_argument("--input", required=True, help="canonical interchange CSV")
+    # The source template is named for the user's sake; only --to shapes the output.
     p.add_argument(
         "--from", dest="from_jurisdiction", required=True, choices=_JURISDICTION_CODES
     )
@@ -253,12 +254,11 @@ def _cmd_convert(args) -> int:
     registry = load_registry()
     records, warnings = parse_canonical(_read_file(args.input), registry)
     _print_warnings(warnings)
-    from_config = default_config(registry, Jurisdiction(args.from_jurisdiction))
     to_config = default_config(registry, Jurisdiction(args.to_jurisdiction))
     converted = []
     results = []
     for record in records:
-        new_record, loss = convert(record, from_config, to_config, registry)
+        new_record, loss = convert(record, to_config, registry)
         converted.append(new_record)
         results.append((record.record_id, loss))
     _write_file(args.out, write_canonical(converted, registry))

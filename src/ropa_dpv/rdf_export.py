@@ -7,10 +7,12 @@ usage node annotated with its mapping-outcome class, so consumers can tell
 exact correspondences from partial, complex, or unmapped ones.
 
 Predicate derivation is mechanical and documented: a concept whose first
-DPV term is a class ``dpv:X`` gets the data predicate ``dpv:hasX``; the
-processing verbs (``dpv:Combine``, ``dpv:Transfer``) are instead emitted as
-objects of ``ropaex:usesProcessing``.  These conventions stand in for real
-DPV property IRIs and are meant to be revisited if those differ.
+DPV term is ``dpv:x`` or ``dpv:X`` gets the data predicate ``dpv:hasX``
+(``dpv:location`` gives ``dpv:hasLocation``); the processing verbs
+(``dpv:Combine``, ``dpv:Transfer``) are instead emitted as objects of
+``ropaex:usesProcessing``, and only when the concept's boolean value is
+true.  These conventions stand in for real DPV property IRIs and are meant
+to be revisited if those differ.
 
 Both serializers are byte-deterministic for equal graphs:
 
@@ -169,9 +171,12 @@ def _record_triples(
         if descriptor.outcome is MappingOutcome.NONE or not terms:
             predicate, objects = ropaex + _camel(cid), values
         elif terms[0] in PROCESSING_VERB_TERMS:
-            predicate, objects = ropaex + "usesProcessing", [Node.iri(_expand(terms[0], ropaex))]
+            used = any(v.value is True for v in record.fields[cid])
+            predicate = ropaex + "usesProcessing"
+            objects = [Node.iri(_expand(terms[0], ropaex))] if used else []
         else:
-            predicate, objects = DPV_NS + "has" + terms[0].split(":", 1)[1], values
+            local = terms[0].split(":", 1)[1]
+            predicate, objects = DPV_NS + "has" + local[:1].upper() + local[1:], values
         rows += [(root, predicate, o) for o in objects]
         usage = Node.blank(f"c{next(labels)}")
         rows += [

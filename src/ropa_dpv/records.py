@@ -205,7 +205,3 @@ def set_field(
     else:
         fields.pop(concept_id, None)
     return replace(record, fields=fields)
-
-
-def get_field(record: RopaRecord, concept_id: str) -> tuple[FieldValue, ...]:
-    return record.values(concept_id)

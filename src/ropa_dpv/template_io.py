@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -32,7 +33,7 @@ from .records import (
     ValueKind,
     parse_timestamp,
 )
-from .registry import ConceptRegistry, Jurisdiction, read_verified
+from .registry import ConceptRegistry, Jurisdiction
 
 CANONICAL_HEADER = ("record_id", "concept_id", "value_index", "value_kind", "value")
 CONFIG_HEADER = ("external_header", "concept_id")
@@ -117,15 +118,18 @@ def load_config(
 def default_config(
     registry: ConceptRegistry, jurisdiction: Jurisdiction
 ) -> TemplateProfileConfig:
-    """The packaged config for one jurisdiction.
+    """The default config for one jurisdiction: its profile's concepts in
+    table order.
 
     Headers default to the registry display names (the concept id stands in
     for the one unnamed row); regulators' real headers can be supplied via
     :func:`load_config`.
     """
-    jurisdiction = Jurisdiction(jurisdiction)
-    data = read_verified("templates", f"{jurisdiction.value.lower()}.csv")
-    return load_config(data, jurisdiction, registry)
+    profile = registry.profiles[Jurisdiction(jurisdiction)]
+    column_map = [
+        (c.display_name or c.id, c.id) for c in registry.concepts if c.id in profile.concepts
+    ]
+    return make_config(jurisdiction, column_map, registry)
 
 
 # -- cell encoding -------------------------------------------------------------
@@ -144,23 +148,7 @@ def _unescape(cell: str) -> str:
 
 
 def _split_cell(cell: str) -> list[str]:
-    items: list[str] = []
-    buf: list[str] = []
-    i = 0
-    while i < len(cell):
-        ch = cell[i]
-        if ch == "\\" and i + 1 < len(cell) and cell[i + 1] == ";":
-            buf.append(";")
-            i += 2
-        elif ch == ";":
-            items.append("".join(buf))
-            buf = []
-            i += 1
-        else:
-            buf.append(ch)
-            i += 1
-    items.append("".join(buf))
-    return items
+    return [_unescape(p) for p in re.split(r"(?<!\\);", cell)]
 
 
 def _representable(values: Iterable[FieldValue]) -> bool:
@@ -211,7 +199,6 @@ def parse_canonical(
     # (record_id, concept_id) -> list of (line, value_index, kind_tag, value)
     cells: dict[tuple[str, str], list[tuple[int, int, str, str]]] = {}
     seen_keys: set[tuple[str, str, int]] = set()
-    record_order: list[str] = []
 
     for line, row in rows[1:]:
         if len(row) != 5:
@@ -231,12 +218,12 @@ def parse_canonical(
         if key in seen_keys:
             raise DuplicateCell(record_id, concept_id, value_index)
         seen_keys.add(key)
-        if record_id not in record_order:
-            record_order.append(record_id)
         cells.setdefault((record_id, concept_id), []).append(
             (line, value_index, kind_tag, value)
         )
 
+    # record_id -> concept_id -> entries, both in order of first appearance
+    by_record: dict[str, dict[str, list[tuple[int, int, str, str]]]] = {}
     for (record_id, concept_id), entries in cells.items():
         indexes = sorted(e[1] for e in entries)
         if indexes != list(range(len(entries))):
@@ -245,15 +232,14 @@ def parse_canonical(
                 f"value_index not contiguous from 0 for ({record_id!r}, {concept_id!r})",
             )
         entries.sort(key=lambda e: e[1])
+        by_record.setdefault(record_id, {})[concept_id] = entries
 
     records: list[RopaRecord] = []
-    for record_id in record_order:
+    for record_id, record_cells in by_record.items():
         controller_name = None
         created = None
         fields: dict[str, tuple[FieldValue, ...]] = {}
-        for (rid, concept_id), entries in cells.items():
-            if rid != record_id:
-                continue
+        for concept_id, entries in record_cells.items():
             if concept_id in (META_CONTROLLER_NAME, META_CREATED):
                 if len(entries) > 1:
                     warnings.append(
@@ -470,18 +456,15 @@ def export_template(
 
 def convert(
     record: RopaRecord,
-    from_config: TemplateProfileConfig,
     to_config: TemplateProfileConfig,
     registry: ConceptRegistry,
 ) -> tuple[RopaRecord, ConversionLossReport]:
     """Restrict a record to the target template's concepts.
 
-    Record metadata is preserved; conversion never invents data.  The
-    ``from_config`` identifies the source shape for reporting purposes and
-    does not influence the result.  Unlike :func:`export_template` no cell
-    encoding happens here, so values are never unrepresentable.
+    Record metadata is preserved; conversion never invents data.  Unlike
+    :func:`export_template` no cell encoding happens here, so values are
+    never unrepresentable.
     """
-    del from_config
     target = set(to_config.concept_ids)
     fields = {cid: vals for cid, vals in record.fields.items() if cid in target}
     lost = tuple(

@@ -33,8 +33,6 @@ _SEVERITY: dict[FindingCode, Severity] = {
     FindingCode.UNKNOWN_TERM: Severity.WARNING,
 }
 
-_CODE_ORDER = {code: i for i, code in enumerate(FindingCode)}
-
 
 @dataclass(frozen=True)
 class ValidationFinding:
@@ -116,13 +114,13 @@ def _validate(
     registry: ConceptRegistry,
     profile: JurisdictionProfile | None,
 ) -> ValidationReport:
+    # _value_findings already emits each concept's findings in code order.
     findings: list[ValidationFinding] = []
     for descriptor in registry.concepts:
         cid = descriptor.id
-        per_concept: list[ValidationFinding] = []
         if not record.has(cid):
             if descriptor.mandatory:
-                per_concept.append(
+                findings.append(
                     _finding(
                         cid,
                         FindingCode.MISSING_MANDATORY,
@@ -130,7 +128,7 @@ def _validate(
                     )
                 )
             elif profile is not None and cid in profile.concepts:
-                per_concept.append(
+                findings.append(
                     _finding(
                         cid,
                         FindingCode.MISSING_PROFILE_FIELD,
@@ -138,9 +136,7 @@ def _validate(
                     )
                 )
         else:
-            per_concept.extend(_value_findings(record, registry, cid))
-        per_concept.sort(key=lambda f: _CODE_ORDER[f.code])
-        findings.extend(per_concept)
+            findings.extend(_value_findings(record, registry, cid))
     return ValidationReport(findings=tuple(findings))
 
 
@@ -172,14 +168,19 @@ def gap_matrix(
 ) -> dict[Jurisdiction, GapStatus]:
     """Validate the record against all six profiles.
 
-    ``ready`` means zero errors and zero warnings for that jurisdiction.
+    Equal to :func:`validate_against_profile` per jurisdiction: the Article 30
+    report is shared, and each profile adds one warning per concept of its
+    own that is neither populated nor mandatory.  ``ready`` means zero errors
+    and zero warnings for that jurisdiction.
     """
+    report = validate_article30(record, registry)
+    mandatory = registry.mandatory_concepts()
     matrix: dict[Jurisdiction, GapStatus] = {}
     for j in Jurisdiction:
-        report = validate_against_profile(record, registry.profiles[j], registry)
+        missing = len(registry.profiles[j].concepts.difference(record.fields, mandatory))
         matrix[j] = GapStatus(
             errors=report.error_count,
-            warnings=report.warning_count,
-            ready=not report.findings,
+            warnings=report.warning_count + missing,
+            ready=not report.findings and not missing,
         )
     return matrix

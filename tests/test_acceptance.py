@@ -126,13 +126,13 @@ def test_criterion_6_round_trip_properties():
         assert warnings == []
         assert parsed == [record]
         # conversion laws
-        a, b = rng.choice(JURISDICTIONS), rng.choice(JURISDICTIONS)
-        converted, loss = convert(record, configs[a], configs[b], REGISTRY)
+        _, b = rng.choice(JURISDICTIONS), rng.choice(JURISDICTIONS)
+        converted, loss = convert(record, configs[b], REGISTRY)
         assert converted.populated() <= record.populated()
         lost_ids = {cid for cid, _ in loss.lost}
         assert lost_ids | converted.populated() == record.populated()
         assert lost_ids & converted.populated() == set()
-        twice, loss_twice = convert(converted, configs[b], configs[b], REGISTRY)
+        twice, loss_twice = convert(converted, configs[b], REGISTRY)
         assert twice == converted and loss_twice.lost == ()
         # validator monotonicity under one field addition
         absent = sorted(set(all_ids) - record.populated())
@@ -173,13 +173,13 @@ def test_criterion_8_export_loss_oracle():
     )
     configs = {j: default_config(REGISTRY, j) for j in JURISDICTIONS}
     for a in JURISDICTIONS:
-        record_a, _ = convert(full, configs[a], configs[a], REGISTRY)
+        record_a, _ = convert(full, configs[a], REGISTRY)
         assert record_a.populated() == REGISTRY.profiles[a].concepts
         for b in JURISDICTIONS:
             expected = len(
                 REGISTRY.profiles[a].concepts - REGISTRY.profiles[b].concepts
             )
-            _, loss = convert(record_a, configs[a], configs[b], REGISTRY)
+            _, loss = convert(record_a, configs[b], REGISTRY)
             assert len(loss.lost) == expected, (a, b)
             _, export_loss = export_template(record_a, configs[b], REGISTRY)
             assert len(export_loss.lost) == expected, (a, b)

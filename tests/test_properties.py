@@ -1,7 +1,7 @@
 """Property-based checks: round-trips, conversion laws, monotonicity."""
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from ropa_dpv import (
     FieldValue,
@@ -20,7 +20,7 @@ from ropa_dpv import (
     validate_article30,
     write_canonical,
 )
-from conftest import CREATED
+from conftest import CREATED, sample_values
 
 REGISTRY = load_registry()
 ALL_IDS = [c.id for c in REGISTRY.concepts]
@@ -97,8 +97,8 @@ def test_canonical_round_trip(records):
 @_settings
 @given(record=ropa_records(), pair=_pair)
 def test_convert_never_invents_and_partitions(record, pair):
-    a, b = pair
-    converted, loss = convert(record, CONFIGS[a], CONFIGS[b], REGISTRY)
+    _, b = pair
+    converted, loss = convert(record, CONFIGS[b], REGISTRY)
     assert converted.populated() <= record.populated()
     lost_ids = {cid for cid, _ in loss.lost}
     assert lost_ids | converted.populated() == record.populated()
@@ -109,9 +109,9 @@ def test_convert_never_invents_and_partitions(record, pair):
 @_settings
 @given(record=ropa_records(), pair=_pair)
 def test_convert_idempotent_for_fixed_target(record, pair):
-    a, b = pair
-    once, _ = convert(record, CONFIGS[a], CONFIGS[b], REGISTRY)
-    twice, loss = convert(once, CONFIGS[b], CONFIGS[b], REGISTRY)
+    _, b = pair
+    once, _ = convert(record, CONFIGS[b], REGISTRY)
+    twice, loss = convert(once, CONFIGS[b], REGISTRY)
     assert twice == once
     assert loss.lost == ()
 
@@ -158,6 +158,7 @@ def test_gap_matrix_ready_monotone(record, data):
         if before[j].ready:
             assert after[j].ready
 
+
 # Values ``set_field`` would refuse: one of every kind, so most are of the
 # wrong kind for the concept, plus terms missing from the seeded vocabularies.
 _OFF_SCHEMA_VALUES = [
@@ -173,24 +174,59 @@ _OFF_SCHEMA_VALUES = [
 ]
 
 
+_SEEDED_VOCABULARY_IDS = {
+    c.id for c in REGISTRY.concepts
+    if c.value_schema.vocabulary and REGISTRY.known_terms(c.value_schema.vocabulary)
+}
+
+
 @st.composite
 def hand_built_records(draw):
     """Records built without ``set_field``: wrong-kind values, several values
-    on single-valued concepts, and unknown terms of seeded vocabularies."""
+    on single-valued concepts, and unknown terms of seeded vocabularies.
+
+    Half start from every concept holding valid values, so that a few bad
+    concepts decide whether a jurisdiction is ready.
+    """
+    if draw(st.booleans()):
+        chosen = ALL_IDS
+    else:
+        chosen = draw(st.lists(st.sampled_from(ALL_IDS), unique=True, max_size=20))
+    seeded = [cid for cid in chosen if cid in _SEEDED_VOCABULARY_IDS]
+    pick = st.sampled_from(chosen)
+    if seeded:
+        pick = st.one_of(st.sampled_from(seeded), pick)
+    bad = draw(st.lists(pick, unique=True, max_size=3)) if chosen else []
     fields = {}
-    for cid in draw(st.lists(st.sampled_from(ALL_IDS), unique=True, max_size=20)):
-        kind = REGISTRY.concept(cid).value_schema.kind
-        own = [FieldValue(kind, "unseeded-term")] if "TERM" in kind.value else []
-        candidates = st.one_of(
-            st.sampled_from(draw(_value_strategy(cid)) + own),
-            st.sampled_from(_OFF_SCHEMA_VALUES),
-        )
-        fields[cid] = tuple(draw(st.lists(candidates, min_size=1, max_size=3)))
+    for cid in chosen:
+        values = draw(_value_strategy(cid))
+        if cid in bad:
+            kind = REGISTRY.concept(cid).value_schema.kind
+            fault = st.sampled_from(_OFF_SCHEMA_VALUES)
+            if "TERM" in kind.value:
+                fault = st.one_of(st.just(FieldValue(kind, "unseeded-term")), fault)
+            # replace the values, or add one more to them
+            kept = values if draw(st.booleans()) else []
+            values = kept + [draw(fault)]
+        fields[cid] = tuple(values)
     return RopaRecord(draw(_record_id), "Hand Built Ltd", CREATED, fields)
+
+
+_ALL_VALID = {cid: tuple(sample_values(REGISTRY, cid)) for cid in ALL_IDS}
 
 
 @_settings
 @given(record=st.one_of(ropa_records(), hand_built_records()))
+@example(record=RopaRecord("all-valid", "Acme", CREATED, _ALL_VALID))
+@example(
+    record=RopaRecord(
+        "unseeded-term", "Acme", CREATED,
+        {
+            **_ALL_VALID,
+            "legal-basis-for-processing": (FieldValue(ValueKind.TERM_LIST, "unseeded-term"),),
+        },
+    )
+)
 def test_gap_matrix_agrees_with_profile_validation(record):
     matrix = gap_matrix(record, REGISTRY)
     assert list(matrix) == list(Jurisdiction)

@@ -135,6 +135,29 @@ def test_processing_verbs_are_objects(registry):
     assert uses == [DPV_NS + "Combine"]
 
 
+def test_false_processing_verb_is_not_asserted(registry):
+    record = new_record("pa-1", "Acme", CREATED)
+    for cid in ("data-transfer", "data-combination"):
+        record = set_field(record, registry, cid, field_values(registry, cid, False))
+    graph = to_graph(record, registry)
+    assert DEFAULT_ROPAEX_NS + "usesProcessing" not in _predicates(graph)
+    concepts = {
+        t.object.value for t in graph.triples
+        if t.predicate.value == DEFAULT_ROPAEX_NS + "concept"
+    }
+    assert concepts == {"data-transfer", "data-combination"}
+
+
+def test_data_predicate_capitalises_the_term(registry):
+    cid = "third-countries-that-personal-data-are-transferred-to"
+    record = new_record("pa-1", "Acme", CREATED)
+    record = set_field(record, registry, cid, field_values(registry, cid, "US"))
+    predicates = _predicates(to_graph(record, registry))
+    assert registry.concept(cid).dpv_terms[0] == "dpv:location"
+    assert DPV_NS + "hasLocation" in predicates
+    assert DPV_NS + "haslocation" not in predicates
+
+
 def test_namespace_overrides(registry, empty_record):
     graph = to_graph(
         empty_record, registry,

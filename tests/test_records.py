@@ -11,7 +11,6 @@ from ropa_dpv import (
     UnknownConcept,
     ValueKind,
     field_values,
-    get_field,
     new_record,
     set_field,
 )
@@ -48,7 +47,7 @@ def test_set_field_and_get(registry):
     record = new_record("pa-001", "Acme", CREATED)
     values = field_values(registry, "purposes-of-processing", "marketing")
     updated = set_field(record, registry, "purposes-of-processing", values)
-    assert get_field(updated, "purposes-of-processing") == tuple(values)
+    assert updated.values("purposes-of-processing") == tuple(values)
     # value semantics: the original record is unchanged
     assert not record.has("purposes-of-processing")
 

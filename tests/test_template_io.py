@@ -157,13 +157,12 @@ def test_parse_interleaved_records_pins_warning_order(registry):
         "record 'pa-c': missing _meta:controller_name; using '(unknown)'",
         "record 'pa-c': missing _meta:created; using '1970-01-01T00:00:00+00:00'",
     ]
-    text_value = lambda v: FieldValue(ValueKind.TEXT, v)  # noqa: E731
     assert records == [
         RopaRecord(
             "pa-a", "Acme GmbH", CREATED,
             {
-                "processor": (text_value("One Corp"),),
-                "data-controller": (text_value("First"),),
+                "processor": (FieldValue(ValueKind.TEXT, "One Corp"),),
+                "data-controller": (FieldValue(ValueKind.TEXT, "First"),),
                 "privacy-notice": (
                     FieldValue(ValueKind.URI, "https://example.com/privacy"),
                 ),
@@ -171,7 +170,7 @@ def test_parse_interleaved_records_pins_warning_order(registry):
         ),
         RopaRecord(
             "pa-b", "(unknown)", "1970-01-01T00:00:00+00:00",
-            {"processor": (text_value("Kept Corp"),)},
+            {"processor": (FieldValue(ValueKind.TEXT, "Kept Corp"),)},
         ),
         RopaRecord("pa-c", "(unknown)", "1970-01-01T00:00:00+00:00", {}),
     ]
@@ -456,8 +455,8 @@ def test_export_import_round_trip_with_semicolons(registry, empty_record):
 
 def test_convert_identity(registry, full_record):
     config = default_config(registry, Jurisdiction.UK)
-    restricted, _ = convert(full_record, config, config, registry)
-    result, loss = convert(restricted, config, config, registry)
+    restricted, _ = convert(full_record, config, registry)
+    result, loss = convert(restricted, config, registry)
     assert result == restricted
     assert loss.lost == ()
 
@@ -468,8 +467,8 @@ def test_convert_uk_be_uk(registry, empty_record):
     uk_record = populate(
         empty_record, registry, sorted(registry.profiles[Jurisdiction.UK].concepts)
     )
-    step1, _ = convert(uk_record, uk, be, registry)
-    step2, _ = convert(step1, be, uk, registry)
+    step1, _ = convert(uk_record, be, registry)
+    step2, _ = convert(step1, uk, registry)
     both = registry.profiles[Jurisdiction.UK].concepts & registry.profiles[Jurisdiction.BE].concepts
     assert step2.populated() == both
     expected = {cid: uk_record.fields[cid] for cid in both}
@@ -477,18 +476,16 @@ def test_convert_uk_be_uk(registry, empty_record):
 
 
 def test_convert_empty_record(registry, empty_record):
-    uk = default_config(registry, Jurisdiction.UK)
     cy = default_config(registry, Jurisdiction.CY)
-    result, loss = convert(empty_record, uk, cy, registry)
+    result, loss = convert(empty_record, cy, registry)
     assert result == empty_record
     assert loss.lost == ()
     assert loss.retained_count == 0
 
 
 def test_convert_partition_and_metadata(registry, full_record):
-    uk = default_config(registry, Jurisdiction.UK)
     cy = default_config(registry, Jurisdiction.CY)
-    result, loss = convert(full_record, uk, cy, registry)
+    result, loss = convert(full_record, cy, registry)
     lost_ids = {cid for cid, _ in loss.lost}
     assert lost_ids | result.populated() == full_record.populated()
     assert lost_ids & result.populated() == set()
