@@ -22,10 +22,17 @@ Both serializers are byte-deterministic for equal graphs:
 * JSON-LD nodes are sorted by ``@id`` and each entry list by the entry's
   JSON text, which is not N-Triples order (``"a\\b"`` sorts before
   ``"a\\u0001"`` as JSON and after it as N-Triples).
+
+Each distinct node is built and validated once per graph, and rendered once
+per serialization.  The JSON-LD text is written directly, not by
+``json.dumps``; ``tests/rdf_reference.py`` keeps the ``json.dumps(indent=2)``
+serializer (and the Turtle one that renders every term where it is used),
+and the tests require the same bytes from both.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -34,7 +41,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 from urllib.parse import quote
 
-from .records import RopaRecord, ValueKind, is_absolute_iri
+from .records import FieldValue, RopaRecord, ValueKind, is_absolute_iri
 from .registry import ConceptRegistry, MappingOutcome
 
 DPV_NS = "https://w3id.org/dpv#"
@@ -49,6 +56,7 @@ PROCESSING_VERB_TERMS = frozenset({"dpv:Combine", "dpv:Transfer"})
 
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9]+\Z")
 _LOCAL_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+_json = json.encoder.encode_basestring  # json.dumps of a str, with ensure_ascii=False
 
 
 class NodeKind(str, Enum):
@@ -141,51 +149,88 @@ _DATATYPES = {
 }
 
 
-def _value_node(value, schema, base: str) -> Node:
-    kind = value.kind
-    if kind in (ValueKind.TERM, ValueKind.TERM_LIST):
-        vocab = schema.vocabulary or "term"
-        return Node.iri(f"{base}/term/{vocab}/{quote(value.lexical, safe='')}")
-    if kind is ValueKind.URI:
-        return Node.iri(value.value)
-    return Node.literal(value.lexical, datatype=_DATATYPES.get(kind))
+class _GraphBuilder:
+    """The triples of one graph.
 
+    Each distinct node is built, and so checked by ``Node.__post_init__``,
+    once per graph: IRIs, literals, field values and each concept's
+    predicate and usage nodes are memoised, and equal nodes are shared.
+    """
 
-def _record_triples(
-    record: RopaRecord,
-    registry: ConceptRegistry,
-    base: str,
-    ropaex: str,
-    labels: Iterable[int],
-) -> list[Triple]:
-    root = Node.iri(f"{base}/record/{record.record_id}")
-    rows = [
-        (root, RDF_NS + "type", Node.iri(DPV_NS + "PersonalDataHandling")),
-        (root, ropaex + "controllerName", Node.literal(record.controller_name)),
-        (root, ropaex + "created", Node.literal(record.created, XSD_NS + "dateTime")),
-    ]
-    for cid in sorted(record.fields, key=registry.table_index):
-        descriptor = registry.concept(cid)
-        terms = descriptor.dpv_terms
-        values = [_value_node(v, descriptor.value_schema, base) for v in record.fields[cid]]
-        if descriptor.outcome is MappingOutcome.NONE or not terms:
-            predicate, objects = ropaex + _camel(cid), values
-        elif terms[0] in PROCESSING_VERB_TERMS:
-            used = any(v.value is True for v in record.fields[cid])
-            predicate = ropaex + "usesProcessing"
-            objects = [Node.iri(_expand(terms[0], ropaex))] if used else []
-        else:
-            local = terms[0].split(":", 1)[1]
-            predicate, objects = DPV_NS + "has" + local[:1].upper() + local[1:], values
-        rows += [(root, predicate, o) for o in objects]
-        usage = Node.blank(f"c{next(labels)}")
-        rows += [
-            (root, ropaex + "conceptUsage", usage),
-            (usage, ropaex + "concept", Node.literal(cid)),
-            (usage, ropaex + "mappingOutcome", Node.literal(descriptor.outcome.value)),
+    def __init__(self, registry: ConceptRegistry, base: str, ropaex: str) -> None:
+        self.registry = registry
+        self.base = base
+        self.ropaex = ropaex
+        self.labels = itertools.count()
+        self.iri = functools.cache(Node.iri)
+        self.literal = functools.cache(Node.literal)
+        self._values: dict[tuple, Node] = {}
+        self._concepts: dict[str, tuple] = {}
+
+    def value(self, value: FieldValue, vocabulary: str | None) -> Node:
+        key = (value.kind, value.value, vocabulary)
+        node = self._values.get(key)
+        if node is None:
+            kind = value.kind
+            if kind in (ValueKind.TERM, ValueKind.TERM_LIST):
+                local = quote(value.lexical, safe="")
+                node = self.iri(f"{self.base}/term/{vocabulary or 'term'}/{local}")
+            elif kind is ValueKind.URI:
+                node = self.iri(value.value)
+            else:
+                node = self.literal(value.lexical, _DATATYPES.get(kind))
+            self._values[key] = node
+        return node
+
+    def concept(self, cid: str) -> tuple:
+        """``(vocabulary, predicate, verb, usage rows)`` for a concept.
+
+        ``verb`` is the ``ropaex:usesProcessing`` object of a processing-verb
+        concept, else None; the usage rows are the (predicate, object) pairs
+        of its usage node.
+        """
+        plan = self._concepts.get(cid)
+        if plan is None:
+            descriptor = self.registry.concept(cid)
+            terms, ropaex, iri = descriptor.dpv_terms, self.ropaex, self.iri
+            verb = None
+            if descriptor.outcome is MappingOutcome.NONE or not terms:
+                predicate = ropaex + _camel(cid)
+            elif terms[0] in PROCESSING_VERB_TERMS:
+                predicate = ropaex + "usesProcessing"
+                verb = iri(_expand(terms[0], ropaex))
+            else:
+                local = terms[0].split(":", 1)[1]
+                predicate = DPV_NS + "has" + local[:1].upper() + local[1:]
+            usage = [
+                (iri(ropaex + "concept"), self.literal(cid, None)),
+                (iri(ropaex + "mappingOutcome"), self.literal(descriptor.outcome.value, None)),
+            ]
+            usage += [(iri(ropaex + "alsoMapsTo"), iri(_expand(t, ropaex))) for t in terms[1:]]
+            plan = (descriptor.value_schema.vocabulary, iri(predicate), verb, usage)
+            self._concepts[cid] = plan
+        return plan
+
+    def record_triples(self, record: RopaRecord) -> list[Triple]:
+        iri, ropaex = self.iri, self.ropaex
+        root = iri(f"{self.base}/record/{record.record_id}")
+        rows = [
+            (root, iri(RDF_NS + "type"), iri(DPV_NS + "PersonalDataHandling")),
+            (root, iri(ropaex + "controllerName"), self.literal(record.controller_name, None)),
+            (root, iri(ropaex + "created"), self.literal(record.created, XSD_NS + "dateTime")),
         ]
-        rows += [(usage, ropaex + "alsoMapsTo", Node.iri(_expand(t, ropaex))) for t in terms[1:]]
-    return [Triple(s, Node.iri(p), o) for s, p, o in rows]
+        concept_usage = iri(ropaex + "conceptUsage")
+        for cid in sorted(record.fields, key=self.registry.table_index):
+            vocabulary, predicate, verb, usage_rows = self.concept(cid)
+            values = record.fields[cid]
+            if verb is None:
+                rows += [(root, predicate, self.value(v, vocabulary)) for v in values]
+            elif any(v.value is True for v in values):
+                rows.append((root, predicate, verb))
+            usage = Node.blank(f"c{next(self.labels)}")
+            rows.append((root, concept_usage, usage))
+            rows += [(usage, p, o) for p, o in usage_rows]
+        return [Triple(s, p, o) for s, p, o in rows]
 
 
 def to_graph(
@@ -211,11 +256,10 @@ def records_to_graph(
     Blank node labels (``_:c0``, ``_:c1``, ...) are assigned in emission
     order across the whole document, keeping output reproducible.
     """
-    base = base.rstrip("/")
-    labels = itertools.count()
+    builder = _GraphBuilder(registry, base.rstrip("/"), ropaex)
     triples: list[Triple] = []
     for record in records:
-        triples.extend(_record_triples(record, registry, base, ropaex, labels))
+        triples.extend(builder.record_triples(record))
     return TripleGraph(frozenset(triples), namespace_table(ropaex))
 
 
@@ -255,16 +299,24 @@ def _term(node: Node, namespaces: Sequence[tuple[str, str]] = ()) -> str:
 def serialize_turtle(graph: TripleGraph) -> str:
     """Valid Turtle: fixed prefix block, then one sorted triple per line."""
     ns = graph.namespaces
+    # id(node) -> (N-Triples form, Turtle form).  The graph keeps every node
+    # alive, so ids are not reused; equal nodes that are distinct objects are
+    # rendered once each, to the same text.
+    forms: dict[int, tuple[str, str]] = {}
+
+    def form(node: Node) -> tuple[str, str]:
+        pair = forms.get(id(node))
+        if pair is None:
+            pair = forms[id(node)] = (_term(node), _term(node, ns))
+        return pair
+
+    # Equal N-Triples forms mean equal nodes, so the Turtle form after each
+    # never decides the order.
+    rows = sorted((*form(t.subject), *form(t.predicate), *form(t.object)) for t in graph.triples)
     lines = [f"@prefix {prefix}: <{iri}> ." for prefix, iri in ns]
-    triples = sorted(
-        graph.triples, key=lambda t: (_term(t.subject), _term(t.predicate), _term(t.object))
-    )
-    if triples:
+    if rows:
         lines.append("")
-    lines += [
-        f"{_term(t.subject, ns)} {_term(t.predicate, ns)} {_term(t.object, ns)} ."
-        for t in triples
-    ]
+    lines += [f"{s} {p} {o} ." for _, s, _, p, _, o in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -272,10 +324,10 @@ def _node_ref(node: Node) -> str:
     return f"_:{node.value}" if node.kind is NodeKind.BLANK else node.value
 
 
-def _jsonld_object(node: Node, namespaces) -> dict:
+def _jsonld_object(node: Node, namespaces) -> dict[str, str]:
     if node.kind is not NodeKind.LITERAL:
         return {"@id": _node_ref(node)}
-    obj: dict = {"@value": node.value}
+    obj = {"@value": node.value}
     if node.datatype:
         obj["@type"] = _compact(node.datatype, namespaces) or node.datatype
     elif node.language:
@@ -283,27 +335,73 @@ def _jsonld_object(node: Node, namespaces) -> dict:
     return obj
 
 
+def _indented(open_: str, items: Sequence[str], close: str, pad: str) -> str:
+    """The ``json.dumps(indent=2)`` layout of an array or object at
+    indentation ``pad``, from its rendered items."""
+    if not items:
+        return open_ + close
+    inner = "\n" + pad + "  "
+    return open_ + inner + ("," + inner).join(items) + "\n" + pad + close
+
+
+def _members(items: Iterable[tuple[str, str]]) -> list[str]:
+    return [f"{_json(k)}: {_json(v)}" for k, v in items]
+
+
+def _jsonld_entry(node: Node, namespaces) -> tuple[str, str]:
+    """An object's sort text, ``json.dumps(obj, sort_keys=True,
+    ensure_ascii=False)``, and its text as an item of an entry list."""
+    obj = _jsonld_object(node, namespaces)
+    sort_text = "{" + ", ".join(_members(sorted(obj.items()))) + "}"
+    return sort_text, _indented("{", _members(obj.items()), "}", " " * 8)
+
+
 def serialize_jsonld(graph: TripleGraph) -> str:
-    """JSON-LD with a fixed ``@context``; nodes and keys fully sorted."""
+    """JSON-LD with a fixed ``@context``; nodes and keys fully sorted.
+
+    The text is what ``json.dumps(document, indent=2, ensure_ascii=False)``
+    gives, written directly from entries rendered once per distinct object.
+    """
     namespaces = graph.namespaces
-    nodes: dict[str, dict] = {}
+    rdf_type = RDF_NS + "type"
+    nodes: dict[str, dict] = {}  # @id -> {key: @id or [(sort text, entry text)]}
+    by_subject: dict[int, dict] = {}  # id(subject) -> its JSON node
+    keys: dict[str, str] = {}  # predicate IRI -> JSON key
+    entries: dict[int, tuple[str, str]] = {}  # id(object) -> (sort text, entry text)
     # Every list below is sorted before output, so triple order is irrelevant.
     for t in graph.triples:
-        sid = _node_ref(t.subject)
-        node = nodes.setdefault(sid, {"@id": sid})
-        if t.predicate.value == RDF_NS + "type" and t.object.kind is NodeKind.IRI:
+        subject, obj = t.subject, t.object
+        node = by_subject.get(id(subject))
+        if node is None:
+            sid = _node_ref(subject)
+            node = by_subject[id(subject)] = nodes.setdefault(sid, {"@id": sid})
+        predicate = t.predicate.value
+        if predicate == rdf_type and obj.kind is NodeKind.IRI:
             key = "@type"
-            entry = _compact(t.object.value, namespaces) or t.object.value
+            text = _json(_compact(obj.value, namespaces) or obj.value)
+            entry = (text, text)
         else:
-            key = _compact(t.predicate.value, namespaces) or t.predicate.value
-            entry = _jsonld_object(t.object, namespaces)
+            key = keys.get(predicate)
+            if key is None:
+                key = keys[predicate] = _compact(predicate, namespaces) or predicate
+            entry = entries.get(id(obj))
+            if entry is None:
+                entry = entries[id(obj)] = _jsonld_entry(obj, namespaces)
         node.setdefault(key, []).append(entry)
     graph_nodes = []
     for sid in sorted(nodes):
         node = nodes[sid]
-        for key, entries in node.items():
-            if isinstance(entries, list):
-                entries.sort(key=lambda e: json.dumps(e, sort_keys=True, ensure_ascii=False))
-        graph_nodes.append({key: node[key] for key in sorted(node)})
-    document = {"@context": dict(namespaces), "@graph": graph_nodes}
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+        members = []
+        for key in sorted(node):
+            value = node[key]
+            if isinstance(value, str):
+                rendered = _json(value)
+            else:
+                rendered = _indented("[", [text for _, text in sorted(value)], "]", " " * 6)
+            members.append(f"{_json(key)}: {rendered}")
+        graph_nodes.append(_indented("{", members, "}", " " * 4))
+    document = [
+        '"@context": ' + _indented("{", _members(dict(namespaces).items()), "}", "  "),
+        '"@graph": ' + _indented("[", graph_nodes, "]", "  "),
+    ]
+    return _indented("{", document, "}", "") + "\n"

@@ -70,6 +70,18 @@ _IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20\s<>\"{}|\\^`]+\Z")
 _DURATION_RE = re.compile(
     r"P(?:\d+Y)?(?:\d+M)?(?:\d+W)?(?:\d+D)?(?:T(?:\d+H)?(?:\d+M)?(?:\d+(?:\.\d+)?S)?)?\Z"
 )
+# The two patterns below are compiled on first use (by re's cache), not at
+# import: every command imports this module, few check timestamps.
+#: The XSD 1.1 dateTime lexical space (https://www.w3.org/TR/xmlschema11-2/#dateTime)
+#: but for the day-of-month constraint, which :func:`is_xsd_datetime` adds.
+_XSD_DATETIME = (
+    r"-?([1-9][0-9]{3,}|0[0-9]{3})-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])"
+    r"T(?:(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?|24:00:00(?:\.0+)?)"
+    r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+)
+_MONTH_DAYS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+#: Surrogate code points, which UTF-8 cannot encode.
+_SURROGATE = "[\ud800-\udfff]"
 
 
 def is_duration(text: str) -> bool:
@@ -83,9 +95,35 @@ def is_absolute_iri(text: str) -> bool:
     return bool(_IRI_RE.fullmatch(text))
 
 
+def is_xsd_datetime(text: str) -> bool:
+    """True for exactly the lexical forms of ``xsd:dateTime``.
+
+    The year has at least four digits and may be negative; ``24:00:00`` and
+    a missing time zone are allowed; February 29 needs a leap year.
+    """
+    match = re.fullmatch(_XSD_DATETIME, text)
+    if match is None:
+        return False
+    year, month, day = match.groups()
+    if int(day) > _MONTH_DAYS[int(month) - 1]:
+        return False
+    if month == "02" and day == "29":
+        # Divisibility by 4, 100 and 400 depends only on the last four digits.
+        last = int(year[-4:])
+        return last % 4 == 0 and (last % 100 != 0 or last % 400 == 0)
+    return True
+
+
+def has_surrogate(text: str) -> bool:
+    """True when ``text`` holds a lone surrogate, so it has no UTF-8 encoding."""
+    return not text.isascii() and re.search(_SURROGATE, text) is not None
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp; a trailing ``Z`` is accepted."""
-    return datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if text.endswith("Z"):
+        text = text[:-1] + "+00:00"
+    return datetime.fromisoformat(text)
 
 
 @dataclass(frozen=True)
@@ -107,6 +145,8 @@ class FieldValue:
             return
         if not isinstance(value, str):
             raise ValueError(f"{kind.value} value must be a string, got {value!r}")
+        if has_surrogate(value):
+            raise ValueError(f"{kind.value} value holds a lone surrogate: {value!r}")
         if kind in (ValueKind.TERM, ValueKind.TERM_LIST) and not value:
             raise ValueError("vocabulary terms must be non-empty")
         if kind is ValueKind.DURATION and not is_duration(value):
@@ -167,13 +207,18 @@ class RopaRecord:
 def new_record(record_id: str, controller_name: str, created: str) -> RopaRecord:
     """Create an empty record.
 
-    ``created`` must be an ISO-8601 timestamp (raises ValueError otherwise).
+    ``created`` must be an ``xsd:dateTime`` lexical form and
+    ``controller_name`` must hold no lone surrogate (raises ValueError
+    otherwise).
     """
     if not isinstance(record_id, str) or not _RECORD_ID_RE.fullmatch(record_id):
         raise InvalidRecordId(record_id)
     if not controller_name:
         raise EmptyControllerName()
-    parse_timestamp(created)
+    if has_surrogate(controller_name):
+        raise ValueError(f"controller name holds a lone surrogate: {controller_name!r}")
+    if not is_xsd_datetime(created):
+        raise ValueError(f"not an xsd:dateTime: {created!r}")
     return RopaRecord(record_id, controller_name, created, {})
 
 

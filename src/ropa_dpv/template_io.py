@@ -31,7 +31,8 @@ from .records import (
     Multiplicity,
     RopaRecord,
     ValueKind,
-    parse_timestamp,
+    has_surrogate,
+    is_xsd_datetime,
 )
 from .registry import ConceptRegistry, Jurisdiction
 
@@ -297,20 +298,23 @@ def parse_canonical(
                 f"using {FALLBACK_CONTROLLER_NAME!r}"
             )
             controller_name = FALLBACK_CONTROLLER_NAME
+        elif has_surrogate(controller_name):
+            warnings.append(
+                f"record {record_id!r}: controller name {controller_name!r} holds a "
+                f"lone surrogate; using {FALLBACK_CONTROLLER_NAME!r}"
+            )
+            controller_name = FALLBACK_CONTROLLER_NAME
         if created is None:
             warnings.append(
                 f"record {record_id!r}: missing {META_CREATED}; using {FALLBACK_CREATED!r}"
             )
             created = FALLBACK_CREATED
-        else:
-            try:
-                parse_timestamp(created)
-            except ValueError:
-                warnings.append(
-                    f"record {record_id!r}: invalid created timestamp {created!r}; "
-                    f"using {FALLBACK_CREATED!r}"
-                )
-                created = FALLBACK_CREATED
+        elif not is_xsd_datetime(created):
+            warnings.append(
+                f"record {record_id!r}: invalid created timestamp {created!r}; "
+                f"using {FALLBACK_CREATED!r}"
+            )
+            created = FALLBACK_CREATED
         records.append(RopaRecord(record_id, controller_name, created, fields))
     return records, warnings
 

@@ -1,8 +1,9 @@
-"""Property-based checks: round-trips, conversion laws, monotonicity."""
+"""Property-based checks: round-trips, conversion laws, monotonicity, RDF export."""
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
+import rdf_reference
 from ropa_dpv import (
     FieldValue,
     Jurisdiction,
@@ -15,12 +16,16 @@ from ropa_dpv import (
     load_registry,
     new_record,
     parse_canonical,
+    records_to_graph,
+    serialize_jsonld,
+    serialize_turtle,
     set_field,
     validate_against_profile,
     validate_article30,
     write_canonical,
 )
 from conftest import CREATED, sample_values
+from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
 
 REGISTRY = load_registry()
 ALL_IDS = [c.id for c in REGISTRY.concepts]
@@ -34,6 +39,16 @@ _name_text = st.text(
     min_size=1,
     max_size=20,
 )
+#: Any code point but a surrogate, with C0 and C1 controls, U+2028, U+FEFF
+#: and a character outside the BMP drawn often.
+_unicode_text = st.text(
+    alphabet=st.one_of(
+        st.characters(blacklist_categories=("Cs",)),
+        st.sampled_from('\x00\x01\x1f\x7f\x85\x9f\u2028\ufeff\U0001F600\r\n\t";\\'),
+    ),
+    min_size=1,
+    max_size=20,
+)
 _slug = st.from_regex(r"[a-z][a-z0-9-]{0,11}", fullmatch=True)
 _record_id = st.from_regex(r"[A-Za-z0-9._~-]{1,12}", fullmatch=True)
 _duration = st.from_regex(r"P[1-9]\d?(Y|M|W|D)", fullmatch=True)
@@ -42,7 +57,7 @@ _uri = _slug.map(lambda s: f"https://example.com/{s}")
 _date = st.dates().map(lambda d: d.isoformat())
 
 
-def _value_strategy(concept_id):
+def _value_strategy(concept_id, text=_name_text):
     schema = REGISTRY.concept(concept_id).value_schema
     kind = schema.kind
     if kind is ValueKind.BOOLEAN:
@@ -59,7 +74,7 @@ def _value_strategy(concept_id):
     elif kind is ValueKind.DATE:
         scalar = _date
     else:
-        scalar = _name_text
+        scalar = text
     max_values = 1 if schema.multiplicity is Multiplicity.ONE else 3
     return st.lists(scalar, min_size=1, max_size=max_values, unique=True).map(
         lambda items: [FieldValue(kind, v) for v in items]
@@ -67,11 +82,11 @@ def _value_strategy(concept_id):
 
 
 @st.composite
-def ropa_records(draw):
-    record = new_record(draw(_record_id), draw(_name_text), CREATED)
+def ropa_records(draw, text=_name_text):
+    record = new_record(draw(_record_id), draw(text), CREATED)
     chosen = draw(st.lists(st.sampled_from(ALL_IDS), unique=True, max_size=12))
     for cid in chosen:
-        record = set_field(record, REGISTRY, cid, draw(_value_strategy(cid)))
+        record = set_field(record, REGISTRY, cid, draw(_value_strategy(cid, text)))
     return record
 
 
@@ -236,3 +251,26 @@ def test_gap_matrix_agrees_with_profile_validation(record):
         assert status.errors == report.error_count
         assert status.warnings == report.warning_count
         assert status.ready == (not report.findings)
+
+
+_IRI_OPTIONS = st.sampled_from([
+    {},
+    {"base": "https://registry.example/x/", "ropaex": "https://vocab.example/ext#"},
+])
+
+
+@_settings
+@given(
+    records=st.lists(
+        ropa_records(_unicode_text), max_size=4, unique_by=lambda r: r.record_id
+    ),
+    options=_IRI_OPTIONS,
+)
+def test_rdf_export_matches_reference_on_unicode_text(records, options):
+    graph = records_to_graph(records, REGISTRY, **options)
+    assert graph == rdf_reference.records_to_graph(records, REGISTRY, **options)
+    turtle, jsonld = serialize_turtle(graph), serialize_jsonld(graph)
+    assert turtle == rdf_reference.serialize_turtle(graph)
+    assert jsonld == rdf_reference.serialize_jsonld(graph)
+    assert parse_turtle(turtle) == canonical_triples(graph)
+    assert parse_jsonld(jsonld) == canonical_triples(graph)

@@ -2,8 +2,11 @@
 
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import rdf_reference
 from ropa_dpv import (
     DEFAULT_ROPAEX_NS,
     DPV_NS,
@@ -20,6 +23,7 @@ from ropa_dpv import (
     set_field,
     to_graph,
 )
+from ropa_dpv.rdf_export import RDF_NS, XSD_NS
 from conftest import CREATED
 from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
 
@@ -323,3 +327,84 @@ def test_golden_awkward_corpus(registry, awkward_records, name, serialize):
     assert serialize(graph) == expected
     parse = parse_turtle if name.endswith(".ttl") else parse_jsonld
     assert parse(expected) == canonical_triples(graph)
+
+
+# -- byte identity with the reference serializers (tests/rdf_reference.py) -----
+# Record corpora with arbitrary Unicode text are checked in test_properties.py.
+
+_IRIS = [
+    DPV_NS + "Purpose", DPV_NS + "hasPurpose", DPV_NS + "1local", DPV_NS + "a.b",
+    DEFAULT_ROPAEX_NS + "concept", RDF_NS + "type", XSD_NS + "string", "urn:x:y",
+    "https://other.example/p#q", "https://other.example/",
+]
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+_iri = st.sampled_from(_IRIS).map(Node.iri)
+_blank = st.sampled_from(["b0", "b1", "c10", "c2"]).map(Node.blank)
+_literal = st.one_of(
+    st.builds(Node.literal, _text),
+    st.builds(Node.literal, _text, datatype=st.sampled_from(
+        [XSD_NS + "date", "https://other.example/dt", "xsd:date"]
+    )),
+    st.builds(Node.literal, _text, language=st.sampled_from(["en", "fr-CA"])),
+)
+_NAMESPACES = [
+    empty_graph().namespaces,
+    (),
+    (("ex", "https://other.example/"), ("dpv", DPV_NS), ("ex", "urn:x:")),
+]
+
+
+def _assert_reference_bytes(graph):
+    assert serialize_turtle(graph) == rdf_reference.serialize_turtle(graph)
+    assert serialize_jsonld(graph) == rdf_reference.serialize_jsonld(graph)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    triples=st.lists(
+        st.builds(Triple, st.one_of(_iri, _blank), _iri, st.one_of(_iri, _blank, _literal)),
+        max_size=25,
+    ),
+    namespaces=st.sampled_from(_NAMESPACES),
+)
+def test_hand_built_graphs_serialize_as_reference(triples, namespaces):
+    # Hypothesis builds equal nodes as distinct objects, too.
+    _assert_reference_bytes(TripleGraph(frozenset(triples), namespaces))
+
+
+def _graph(*triples, namespaces=empty_graph().namespaces):
+    return TripleGraph(frozenset(triples), namespaces)
+
+
+_S, _B = Node.iri("https://other.example/s"), Node.blank("x1")
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        empty_graph(),
+        _graph(namespaces=()),
+        _graph(
+            Triple(_S, Node.iri(DPV_NS + "hasName"), Node.literal("Acme", language="en")),
+            Triple(_S, Node.iri(DPV_NS + "hasName"), Node.literal("Acme", language="de")),
+            Triple(_S, Node.iri(DPV_NS + "hasName"), Node.literal("Acme")),
+        ),
+        _graph(
+            Triple(_S, Node.iri(RDF_NS + "type"), Node.literal("not a class")),
+            Triple(_S, Node.iri(RDF_NS + "type"), Node.iri(DPV_NS + "Purpose")),
+            Triple(_B, Node.iri(RDF_NS + "type"), Node.iri("urn:class:x")),
+        ),
+        _graph(
+            Triple(Node.iri("urn:x:s"), Node.iri("https://other.example/p"), Node.iri("urn:x:o")),
+            Triple(_B, Node.iri(DPV_NS + "not.local"), Node.literal("1", "https://other.example/dt")),
+        ),
+        _graph(
+            Triple(Node.iri("urn:x:s"), Node.iri(RDF_NS + "type"), Node.literal("a")),
+            Triple(Node.iri("urn:x:s"), Node.iri(DPV_NS + "p"), Node.literal("a")),
+        ),
+    ],
+    ids=["empty", "no-namespaces", "language", "rdf-type-literal", "outside-namespaces",
+         "equal-nodes-distinct-objects"],
+)
+def test_hand_built_graph_cases_serialize_as_reference(graph):
+    _assert_reference_bytes(graph)

@@ -1,5 +1,7 @@
 """Record construction, field values, and schema enforcement."""
 
+from datetime import datetime, timezone
+
 import pytest
 
 from ropa_dpv import (
@@ -14,6 +16,7 @@ from ropa_dpv import (
     new_record,
     set_field,
 )
+from ropa_dpv.records import is_xsd_datetime, parse_timestamp
 from conftest import CREATED
 
 
@@ -41,6 +44,78 @@ def test_invalid_created_timestamp():
 
 def test_created_accepts_zulu():
     new_record("pa-001", "Acme", "2024-03-01T10:00:00Z")
+
+
+# Accepted by Python 3.11's datetime.fromisoformat, but not xsd:dateTime.
+_NOT_XSD_DATETIMES = [
+    "2024-03-01",
+    "20240301T1000",
+    "2024-03-01T10:00",
+    "2024-03-01 10:00:00",
+    "2024-03-01T10:00:00+0000",
+    "2024-03-01T10:00:00+00",
+    "2024-03-01t10:00:00Z",
+    "2024-03-01T10:00:00.Z",
+    "2024-W09-5T10:00:00",
+    "2024-02-30T10:00:00",
+    "2023-02-29T10:00:00",
+    "1900-02-29T10:00:00",
+    "2024-04-31T10:00:00",
+    "2024-03-01T24:00:01",
+    "2024-03-01T10:00:00+14:01",
+    "2024-03-01T10:00:60",
+    "02024-03-01T10:00:00",
+    "\u0662\u0660\u0662\u0664-03-01T10:00:00",  # Arabic-Indic digits
+    "2024-03-01T10:00:00Z\n",
+]
+
+
+@pytest.mark.parametrize("created", _NOT_XSD_DATETIMES)
+def test_created_must_be_xsd_datetime(created):
+    assert not is_xsd_datetime(created)
+    with pytest.raises(ValueError):
+        new_record("pa-001", "Acme", created)
+
+
+@pytest.mark.parametrize(
+    "created",
+    [
+        "2024-03-01T10:00:00",
+        "2024-03-01T10:00:00Z",
+        "2024-03-01T10:00:00.123456789-13:59",
+        "2024-02-29T00:00:00+14:00",
+        "2000-02-29T00:00:00Z",
+        "2024-12-31T24:00:00.000",
+        "-0044-03-15T12:00:00",
+        "0000-01-01T00:00:00",
+        "12345-06-30T23:59:59Z",
+    ],
+)
+def test_created_accepts_xsd_datetime(created):
+    assert is_xsd_datetime(created)
+    assert new_record("pa-001", "Acme", created).created == created
+
+
+def test_is_xsd_datetime_leap_year_of_a_long_year():
+    # 5000 digits: too long for int() in Python 3.11, and a leap year
+    year = "1" + "0" * 4999
+    assert is_xsd_datetime(year + "-02-29T00:00:00")
+    assert not is_xsd_datetime(year[:-2] + "04-02-30T00:00:00")
+
+
+def test_parse_timestamp_maps_only_a_trailing_z():
+    utc = datetime(2024, 3, 1, 10, tzinfo=timezone.utc)
+    assert parse_timestamp("2024-03-01T10:00:00Z") == utc
+    # any one character may separate date and time, ``Z`` included
+    assert parse_timestamp("2024-03-01Z10:00:00") == datetime(2024, 3, 1, 10)
+    assert parse_timestamp("2024-03-01Z10:00:00Z") == utc
+
+
+def test_controller_name_with_lone_surrogate_rejected():
+    with pytest.raises(ValueError, match="surrogate"):
+        new_record("pa-001", "Acme\ud800", CREATED)
+    # a character outside the BMP is fine
+    new_record("pa-001", "Acme \U0001F600", CREATED)
 
 
 def test_set_field_and_get(registry):
@@ -108,6 +183,10 @@ def test_unknown_concept_and_container_rejected(registry):
         (ValueKind.TERM, ""),
         (ValueKind.BOOLEAN, "true"),
         (ValueKind.TEXT, True),
+        (ValueKind.TEXT, "Acme\ud800"),
+        (ValueKind.TEXT_LIST, "\udfff"),
+        (ValueKind.TERM, "term\udc80"),
+        (ValueKind.URI, "https://example.com/\ud83d"),
     ],
 )
 def test_field_value_rejects_bad_lexicals(kind, value):

@@ -72,6 +72,43 @@ def test_parse_drops_iri_with_control_character_with_warning(registry):
     assert not records[0].has("privacy-notice")
 
 
+@pytest.mark.parametrize("created", ["2024-03-01", "20240301T1000", "2023-02-29T10:00:00"])
+def test_parse_created_outside_xsd_datetime_falls_back(registry, created):
+    text = HEADER + (
+        "pa-1,_meta:controller_name,0,TEXT,Acme GmbH\n"
+        f"pa-1,_meta:created,0,TEXT,{created}\n"
+    )
+    records, warnings = parse_canonical(text, registry)
+    assert warnings == [
+        f"record 'pa-1': invalid created timestamp {created!r}; "
+        "using '1970-01-01T00:00:00+00:00'"
+    ]
+    assert records[0].created == "1970-01-01T00:00:00+00:00"
+
+
+def test_parse_lone_surrogates_drop_value_and_controller_name(registry):
+    text = HEADER + (
+        "pa-1,_meta:controller_name,0,TEXT,Acme\ud800\n"
+        "pa-1,_meta:created,0,TEXT,2024-03-01T10:00:00+00:00\n"
+        "pa-1,processor,0,TEXT,One\udfff Corp\n"
+        "pa-1,processor,1,TEXT,Two Corp\n"
+    )
+    records, warnings = parse_canonical(text, registry)
+    assert warnings == [
+        "line 4: 'processor': TEXT value holds a lone surrogate: 'One\\udfff Corp'; "
+        "value dropped",
+        "record 'pa-1': controller name 'Acme\\ud800' holds a lone surrogate; "
+        "using '(unknown)'",
+    ]
+    assert records == [
+        RopaRecord(
+            "pa-1", "(unknown)", "2024-03-01T10:00:00+00:00",
+            {"processor": (FieldValue(ValueKind.TEXT, "Two Corp"),)},
+        )
+    ]
+    write_canonical(records, registry).encode("utf-8")
+
+
 def test_parse_duplicate_cell(registry):
     text = HEADER + META + (
         "pa-1,processor,0,TEXT,One Corp\n"
