@@ -1,13 +1,18 @@
 """Property-based checks: round-trips, conversion laws, monotonicity, RDF export."""
 
+import csv
+import io
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
+import canonical_reference
 import rdf_reference
 from ropa_dpv import (
     FieldValue,
     Jurisdiction,
     Multiplicity,
+    RopaError,
     RopaRecord,
     ValueKind,
     convert,
@@ -24,6 +29,7 @@ from ropa_dpv import (
     validate_article30,
     write_canonical,
 )
+from ropa_dpv.template_io import CANONICAL_HEADER
 from conftest import CREATED, sample_values
 from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
 
@@ -107,6 +113,88 @@ def test_canonical_round_trip(records):
     assert warnings == []
     assert parsed == records
     assert write_canonical(parsed, REGISTRY) == text
+
+
+_CANON_RECORD_IDS = ["pa-1", "pa-2", "b.3"]
+#: Metadata rows, known and unknown, an unknown concept, and concepts of
+#: several kinds with either multiplicity.
+_CANON_CONCEPTS = [
+    "_meta:controller_name", "_meta:created", "_meta:owner", "no-such-concept",
+    "data-controller", "processor", "purposes-of-processing",
+    "retention-deletion-periods", "data-transfer", "privacy-notice",
+]
+_CANON_KIND_TAGS = [kind.value for kind in ValueKind] + ["bogus"]
+_CANON_LEXICALS = [
+    "Acme GmbH", "", "marketing", "P1Y", "1Y", "true", "maybe",
+    "https://example.com/a", "not an iri", "2024-03-01T10:00:00Z", "2024-03-01",
+    "a\ud800b", 'x;y\n"z"',
+]
+_CANON_FAULTS = ["duplicate", "gap", "index", "record_id", "columns"]
+
+
+@st.composite
+def canonical_files(draw):
+    """Canonical CSV text: records interleaved, rows shuffled, up to two faults."""
+    cells = draw(st.lists(
+        st.tuples(
+            st.sampled_from(_CANON_RECORD_IDS),
+            st.sampled_from(_CANON_CONCEPTS),
+            st.integers(1, 3),
+        ),
+        max_size=8,
+        unique_by=lambda cell: cell[:2],
+    ))
+    rows = []
+    for record_id, concept_id, count in cells:
+        known = concept_id in ALL_IDS
+        kind = REGISTRY.concept(concept_id).value_schema.kind.value if known else "TEXT"
+        for index in range(count):
+            tag = draw(st.one_of(st.just(kind), st.sampled_from(_CANON_KIND_TAGS)))
+            rows.append([record_id, concept_id, str(index), tag,
+                         draw(st.sampled_from(_CANON_LEXICALS))])
+    rows = draw(st.permutations(rows))
+    for fault in draw(st.lists(st.sampled_from(_CANON_FAULTS), max_size=2)):
+        if not rows:
+            break
+        at = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[at])
+        if fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        elif fault == "gap":
+            del rows[at]
+        else:
+            if fault == "index":
+                row[2] = draw(st.sampled_from(["-1", "x", "", "1.0", " 1", "01", "7"]))
+            elif fault == "record_id":
+                row[0] = draw(st.sampled_from(["", "pa 1", "a\u00e9"]))
+            else:
+                row = row[:4] if draw(st.booleans()) else row + ["extra"]
+            rows[at] = row
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([CANONICAL_HEADER, *rows])
+    return out.getvalue()
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text, REGISTRY)
+    except RopaError as exc:
+        return type(exc), str(exc)
+
+
+_HEADER_LINE = ",".join(CANONICAL_HEADER) + "\n"
+
+
+@_settings
+@given(text=canonical_files())
+# two non-contiguous cells: the one first seen in the file is reported,
+# though the other belongs to the record seen first
+@example(text=_HEADER_LINE + "A,processor,0,TEXT,x\nB,processor,1,TEXT,y\n"
+         "A,data-controller,1,TEXT,z\n")
+def test_parse_canonical_matches_reference(text):
+    assert _parse_outcome(parse_canonical, text) == _parse_outcome(
+        canonical_reference.parse_canonical, text
+    )
 
 
 @_settings
