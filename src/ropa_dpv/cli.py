@@ -389,6 +389,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # stdout carries the same bytes as --out, whatever the locale
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(cli_main())
 
 

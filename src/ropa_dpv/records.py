@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime
+from datetime import date
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -117,13 +117,6 @@ def is_xsd_datetime(text: str) -> bool:
 def has_surrogate(text: str) -> bool:
     """True when ``text`` holds a lone surrogate, so it has no UTF-8 encoding."""
     return not text.isascii() and re.search(_SURROGATE, text) is not None
-
-
-def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp; a trailing ``Z`` is accepted."""
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
-    return datetime.fromisoformat(text)
 
 
 @dataclass(frozen=True)

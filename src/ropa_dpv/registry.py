@@ -18,8 +18,9 @@ import hashlib
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from typing import Iterator, Mapping
 
@@ -198,28 +199,6 @@ class ConceptRegistry:
     rows: tuple[ConceptDescriptor, ...]
     profiles: Mapping[Jurisdiction, JurisdictionProfile]
     vocabularies: Mapping[str, frozenset[str]]
-    _by_id: Mapping[str, ConceptDescriptor] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
-    _order: Mapping[str, int] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
-    _by_article: Mapping[str, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
-
-    def __post_init__(self) -> None:
-        by_id = {row.id: row for row in self.rows}
-        order = {row.id: i for i, row in enumerate(self.rows)}
-        by_article: dict[str, list[str]] = {}
-        for row in self.rows:
-            by_article.setdefault(row.article, []).append(row.id)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(
-            self, "_by_article", {a: tuple(ids) for a, ids in by_article.items()}
-        )
-
     # -- lookups ------------------------------------------------------------
 
     @property
@@ -232,6 +211,14 @@ class ConceptRegistry:
         """The 43 concept rows in table order, container excluded."""
         return self.rows[1:]
 
+    @cached_property
+    def _by_id(self) -> Mapping[str, ConceptDescriptor]:
+        return {row.id: row for row in self.rows}
+
+    @cached_property
+    def _order(self) -> Mapping[str, int]:
+        return {row.id: i for i, row in enumerate(self.rows)}
+
     def concept(self, concept_id: str) -> ConceptDescriptor:
         try:
             return self._by_id[concept_id]
@@ -239,7 +226,7 @@ class ConceptRegistry:
             raise UnknownConcept(concept_id) from None
 
     def concepts_for_article(self, article: str) -> tuple[str, ...]:
-        return self._by_article.get(article, ())
+        return tuple(row.id for row in self.rows if row.article == article)
 
     def table_index(self, concept_id: str) -> int:
         try:

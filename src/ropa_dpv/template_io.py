@@ -181,6 +181,25 @@ def _read_csv(source: bytes | str) -> list[tuple[int, list[str]]]:
     return rows
 
 
+def _csv_text(rows: Sequence[Sequence[object]]) -> str:
+    """Rows as CSV with LF line ends.
+
+    ``csv.writer`` leaves a field holding CR bare, which a reader takes for a
+    line end, so a row with such a field is written with every field quoted.
+    """
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    text = out.getvalue()
+    if "\r" not in text:
+        return text
+    out = io.StringIO()
+    minimal = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any("\r" in str(field) for field in row) else minimal).writerow(row)
+    return out.getvalue()
+
+
 # -- canonical interchange format ----------------------------------------------
 
 
@@ -197,10 +216,8 @@ def parse_canonical(
         raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
 
     warnings: list[str] = []
-    # (record_id, concept_id) -> list of (line, value_index, kind_tag, value)
-    cells: dict[tuple[str, str], list[tuple[int, int, str, str]]] = {}
-    seen_keys: set[tuple[str, str, int]] = set()
-
+    # (record_id, concept_id) -> {value_index: (line, kind_tag, value)}
+    cells: dict[tuple[str, str], dict[int, tuple[int, str, str]]] = {}
     for line, row in rows[1:]:
         if len(row) != 5:
             raise MalformedCsv(line, f"expected 5 columns, got {len(row)}")
@@ -215,25 +232,20 @@ def parse_canonical(
             ) from None
         if value_index < 0:
             raise MalformedCsv(line, f"negative value_index {value_index}")
-        key = (record_id, concept_id, value_index)
-        if key in seen_keys:
+        cell = cells.setdefault((record_id, concept_id), {})
+        if value_index in cell:
             raise DuplicateCell(record_id, concept_id, value_index)
-        seen_keys.add(key)
-        cells.setdefault((record_id, concept_id), []).append(
-            (line, value_index, kind_tag, value)
-        )
+        cell[value_index] = (line, kind_tag, value)
 
-    # record_id -> concept_id -> entries, both in order of first appearance
-    by_record: dict[str, dict[str, list[tuple[int, int, str, str]]]] = {}
-    for (record_id, concept_id), entries in cells.items():
-        indexes = sorted(e[1] for e in entries)
-        if indexes != list(range(len(entries))):
+    # record_id -> concept_id -> entries in index order; keys in order of first appearance
+    by_record: dict[str, dict[str, list[tuple[int, str, str]]]] = {}
+    for (record_id, concept_id), cell in cells.items():
+        if max(cell) != len(cell) - 1:
             raise MalformedCsv(
-                entries[0][0],
+                next(iter(cell.values()))[0],
                 f"value_index not contiguous from 0 for ({record_id!r}, {concept_id!r})",
             )
-        entries.sort(key=lambda e: e[1])
-        by_record.setdefault(record_id, {})[concept_id] = entries
+        by_record.setdefault(record_id, {})[concept_id] = [cell[i] for i in range(len(cell))]
 
     records: list[RopaRecord] = []
     for record_id, record_cells in by_record.items():
@@ -247,9 +259,9 @@ def parse_canonical(
                         f"line {entries[1][0]}: extra {concept_id} value(s) ignored"
                     )
                 if concept_id == META_CONTROLLER_NAME:
-                    controller_name = entries[0][3]
+                    controller_name = entries[0][2]
                 else:
-                    created = entries[0][3]
+                    created = entries[0][2]
                 continue
             if concept_id.startswith("_meta:"):
                 warnings.append(
@@ -265,7 +277,7 @@ def parse_canonical(
                 continue
             schema = descriptor.value_schema
             values: list[FieldValue] = []
-            for line, _, kind_tag, value in entries:
+            for line, kind_tag, value in entries:
                 try:
                     kind = ValueKind(kind_tag)
                 except ValueError:
@@ -329,23 +341,15 @@ def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) ->
     ids = [record.record_id for record in records]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate record ids cannot be written to one file")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CANONICAL_HEADER)
+    rows: list[Sequence[object]] = [CANONICAL_HEADER]
     for record in records:
-        writer.writerow(
-            [record.record_id, META_CONTROLLER_NAME, 0, ValueKind.TEXT.value,
-             record.controller_name]
-        )
-        writer.writerow(
-            [record.record_id, META_CREATED, 0, ValueKind.TEXT.value, record.created]
-        )
+        rid = record.record_id
+        rows.append((rid, META_CONTROLLER_NAME, 0, ValueKind.TEXT.value, record.controller_name))
+        rows.append((rid, META_CREATED, 0, ValueKind.TEXT.value, record.created))
         for cid in sorted(record.fields, key=registry.table_index):
             for index, value in enumerate(record.fields[cid]):
-                writer.writerow(
-                    [record.record_id, cid, index, value.kind.value, value.lexical]
-                )
-    return out.getvalue()
+                rows.append((rid, cid, index, value.kind.value, value.lexical))
+    return _csv_text(rows)
 
 
 # -- template-shaped files -------------------------------------------------------
@@ -445,17 +449,11 @@ def export_template(
         else:
             emitted.add(cid)
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(config.headers)
-    data_row = []
-    for _, cid in config.column_map:
-        if cid in emitted:
-            data_row.append(";".join(_escape(v.lexical) for v in record.fields[cid]))
-        else:
-            data_row.append("")
-    writer.writerow(data_row)
-    return out.getvalue(), ConversionLossReport(tuple(lost), len(emitted))
+    data_row = [
+        ";".join(_escape(v.lexical) for v in record.fields[cid]) if cid in emitted else ""
+        for cid in config.concept_ids
+    ]
+    return _csv_text([config.headers, data_row]), ConversionLossReport(tuple(lost), len(emitted))
 
 
 def convert(

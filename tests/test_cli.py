@@ -11,11 +11,16 @@ import pytest
 import ropa_dpv
 from ropa_dpv import (
     Jurisdiction,
+    default_config,
+    export_template,
+    field_values,
     load_registry,
+    new_record,
+    set_field,
     write_canonical,
 )
 from ropa_dpv.cli import cli_main
-from conftest import populate
+from conftest import CREATED, populate
 
 REGISTRY = load_registry()
 
@@ -234,15 +239,41 @@ def test_missing_file_exit_two(capsys):
     assert "ropa: error:" in capsys.readouterr().err
 
 
-def test_module_entry_point_runs_cli():
+def _run_module(*args, **env):
     paths = [str(Path(ropa_dpv.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    result = subprocess.run(
-        [sys.executable, "-m", "ropa_dpv.cli", "stats"],
-        capture_output=True, text=True, env=env, timeout=60,
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env}
+    return subprocess.run(
+        [sys.executable, "-m", "ropa_dpv.cli", *args],
+        capture_output=True, env=env, timeout=60,
     )
+
+
+def test_module_entry_point_runs_cli():
+    result = _run_module("stats")
     assert result.returncode == 0
-    assert result.stdout.startswith("concepts: 43 ")
+    assert result.stdout.startswith(b"concepts: 43 ")
+
+
+@pytest.mark.parametrize("command", ["export", "import"])
+def test_stdout_is_utf8_under_an_ascii_locale(tmp_path, command):
+    record = set_field(
+        new_record("pa-1", "Café GmbH", CREATED), REGISTRY, "data-controller",
+        field_values(REGISTRY, "data-controller", "Café GmbH"),
+    )
+    if command == "export":
+        text, options = write_canonical([record], REGISTRY), ["--format", "turtle"]
+    else:
+        text, _ = export_template(record, default_config(REGISTRY, Jurisdiction.CY), REGISTRY)
+        options = ["--template", "CY"]
+    path, out = tmp_path / "input.csv", tmp_path / "out"
+    path.write_text(text, encoding="utf-8", newline="")
+    args = [command, "--input", str(path), *options]
+    assert _run_module(*args, "--out", str(out)).returncode == 0
+    result = _run_module(*args, PYTHONIOENCODING="ascii")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    assert result.stdout == out.read_bytes()
+    assert "Café GmbH".encode() in result.stdout
 
 
 def test_usage_error_exit_two(capsys):

@@ -105,7 +105,9 @@ _settings = settings(
 
 @_settings
 @given(
-    records=st.lists(ropa_records(), max_size=4, unique_by=lambda r: r.record_id)
+    records=st.lists(
+        ropa_records(_unicode_text), max_size=4, unique_by=lambda r: r.record_id
+    )
 )
 def test_canonical_round_trip(records):
     text = write_canonical(records, REGISTRY)

@@ -1,7 +1,5 @@
 """Record construction, field values, and schema enforcement."""
 
-from datetime import datetime, timezone
-
 import pytest
 
 from ropa_dpv import (
@@ -16,7 +14,7 @@ from ropa_dpv import (
     new_record,
     set_field,
 )
-from ropa_dpv.records import is_xsd_datetime, parse_timestamp
+from ropa_dpv.records import is_xsd_datetime
 from conftest import CREATED
 
 
@@ -101,14 +99,6 @@ def test_is_xsd_datetime_leap_year_of_a_long_year():
     year = "1" + "0" * 4999
     assert is_xsd_datetime(year + "-02-29T00:00:00")
     assert not is_xsd_datetime(year[:-2] + "04-02-30T00:00:00")
-
-
-def test_parse_timestamp_maps_only_a_trailing_z():
-    utc = datetime(2024, 3, 1, 10, tzinfo=timezone.utc)
-    assert parse_timestamp("2024-03-01T10:00:00Z") == utc
-    # any one character may separate date and time, ``Z`` included
-    assert parse_timestamp("2024-03-01Z10:00:00") == datetime(2024, 3, 1, 10)
-    assert parse_timestamp("2024-03-01Z10:00:00Z") == utc
 
 
 def test_controller_name_with_lone_surrogate_rejected():

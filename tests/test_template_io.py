@@ -263,6 +263,17 @@ def test_write_parse_write_byte_identity(registry, full_record):
     assert text.endswith("\n")
 
 
+def test_write_quotes_carriage_return(registry):
+    record = new_record("pa-1", "x\ry", CREATED)
+    text = write_canonical([record], registry)
+    # only the row holding CR is quoted in full
+    assert text == HEADER + (
+        '"pa-1","_meta:controller_name","0","TEXT","x\ry"\n'
+        f"pa-1,_meta:created,0,TEXT,{CREATED}\n"
+    )
+    assert parse_canonical(text, registry) == ([record], [])
+
+
 def test_bytes_input_and_bad_utf8(registry):
     records, _ = parse_canonical((HEADER + META).encode("utf-8"), registry)
     assert records[0].record_id == "pa-1"
@@ -485,6 +496,19 @@ def test_export_import_round_trip_with_semicolons(registry, empty_record):
     imported, _ = import_template(text, config, registry)
     values = imported[0].values("technical-and-organizational-measures-of-security")
     assert [v.value for v in values] == ["encryption;at rest", "audits"]
+
+
+def test_export_import_round_trip_with_carriage_return(registry, empty_record):
+    config = default_config(registry, Jurisdiction.BE)
+    record = set_field(
+        empty_record, registry, "processor",
+        field_values(registry, "processor", "x\ry", "\r", "plain"),
+    )
+    text, loss = export_template(record, config, registry)
+    assert loss.lost == ()
+    imported, warnings = import_template(text, config, registry)
+    assert warnings == []
+    assert [v.value for v in imported[0].values("processor")] == ["x\ry", "\r", "plain"]
 
 
 # -- conversion ----------------------------------------------------------------
