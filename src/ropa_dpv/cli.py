@@ -389,8 +389,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    # stdout carries the same bytes as --out, whatever the locale
+    # stdout carries the same bytes as --out, and stderr the same diagnostics,
+    # whatever the locale
     sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(cli_main())
 
 

@@ -8,9 +8,8 @@ structure, not statutory tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .records import RopaRecord
 from .registry import ConceptRegistry, Jurisdiction
@@ -31,14 +30,12 @@ class RuleId(str, Enum):
     JURISDICTION_READINESS = "JURISDICTION_READINESS"
 
 
-@dataclass(frozen=True)
-class QueryRule:
+class QueryRule(NamedTuple):
     id: RuleId
     jurisdiction: Jurisdiction | None = None
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     rule: RuleId
     hits: tuple[tuple[str, str], ...]
 

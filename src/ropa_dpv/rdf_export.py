@@ -36,9 +36,8 @@ import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .records import FieldValue, RopaRecord, ValueKind, is_absolute_iri
@@ -65,22 +64,37 @@ class NodeKind(str, Enum):
     LITERAL = "LITERAL"
 
 
-@dataclass(frozen=True)
-class Node:
+class _NodeItems(NamedTuple):
     kind: NodeKind
     value: str
     datatype: str | None = None
     language: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind is not NodeKind.LITERAL and (self.datatype or self.language):
+
+class Node(_NodeItems):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: NodeKind,
+        value: str,
+        datatype: str | None = None,
+        language: str | None = None,
+    ) -> "Node":
+        if kind is not NodeKind.LITERAL and (datatype or language):
             raise ValueError("only literals carry a datatype or language")
-        if self.datatype and self.language:
+        if datatype and language:
             raise ValueError("a literal has at most one of datatype/language")
-        if self.kind is NodeKind.IRI and not is_absolute_iri(self.value):
-            raise ValueError(f"not an absolute IRI: {self.value!r}")
-        if self.kind is NodeKind.BLANK and not _BLANK_LABEL_RE.fullmatch(self.value):
-            raise ValueError(f"invalid blank node label: {self.value!r}")
+        if kind is NodeKind.IRI and not is_absolute_iri(value):
+            raise ValueError(f"not an absolute IRI: {value!r}")
+        if kind is NodeKind.BLANK and not _BLANK_LABEL_RE.fullmatch(value):
+            raise ValueError(f"invalid blank node label: {value!r}")
+        return tuple.__new__(cls, (kind, value, datatype, language))
+
+    @classmethod
+    def _make(cls, iterable) -> "Node":
+        # ``_replace`` builds through ``_make``: check the new items too.
+        return cls(*iterable)
 
     @classmethod
     def iri(cls, value: str) -> "Node":
@@ -97,25 +111,55 @@ class Node:
         return cls(NodeKind.LITERAL, value, datatype, language)
 
 
-@dataclass(frozen=True)
-class Triple:
+class _TripleItems(NamedTuple):
     subject: Node
     predicate: Node
     object: Node
 
-    def __post_init__(self) -> None:
-        if self.subject.kind is NodeKind.LITERAL:
+
+class Triple(_TripleItems):
+    __slots__ = ()
+
+    def __new__(cls, subject: Node, predicate: Node, object: Node) -> "Triple":
+        if subject.kind is NodeKind.LITERAL:
             raise ValueError("triple subjects cannot be literals")
-        if self.predicate.kind is not NodeKind.IRI:
+        if predicate.kind is not NodeKind.IRI:
             raise ValueError("triple predicates must be IRIs")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    @classmethod
+    def _make(cls, iterable) -> "Triple":
+        # ``_replace`` builds through ``_make``: check the new items too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class TripleGraph:
     """A duplicate-free set of triples plus a fixed namespace table."""
 
-    triples: frozenset[Triple]
-    namespaces: tuple[tuple[str, str], ...]
+    __slots__ = ("triples", "namespaces")
+
+    def __init__(
+        self, triples: frozenset[Triple], namespaces: tuple[tuple[str, str], ...]
+    ) -> None:
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "namespaces", namespaces)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.triples, self.namespaces) == (other.triples, other.namespaces)
+
+    def __hash__(self) -> int:
+        return hash((self.triples, self.namespaces))
+
+    def __repr__(self) -> str:
+        return f"TripleGraph(triples={self.triples!r}, namespaces={self.namespaces!r})"
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -152,7 +196,7 @@ _DATATYPES = {
 class _GraphBuilder:
     """The triples of one graph.
 
-    Each distinct node is built, and so checked by ``Node.__post_init__``,
+    Each distinct node is built, and so checked by ``Node.__new__``,
     once per graph: IRIs, literals, field values and each concept's
     predicate and usage nodes are memoised, and equal nodes are shared.
     """

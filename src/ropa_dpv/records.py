@@ -9,15 +9,24 @@ List-kind concepts (``TEXT_LIST``, ``TERM_LIST``, ``COUNTRY_LIST``) hold one
 item per :class:`FieldValue`; the record's value list carries the collection.
 Scalar kinds may still allow several values when the concept's multiplicity
 is ``MANY`` (e.g. several processors).
+
+The package's value types are tuples (``typing.NamedTuple``), which keeps
+them cheap to build, hash and import.  Equality is therefore tuple equality:
+a value equals any tuple holding the same items, whatever its class, so
+``FieldValue(ValueKind.TEXT, "x") == (ValueKind.TEXT, "x")``, and equal
+values hash alike.  They are immutable: assigning an attribute raises
+``AttributeError``.  :class:`FieldValue`, ``rdf_export.Node`` and
+``rdf_export.Triple`` check their items whenever one is built, by ``_replace``
+too.  ``TripleGraph`` and ``ConceptRegistry`` are not tuples; each equals
+only an instance of its own class with equal fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from datetime import date
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import (
     EmptyControllerName,
@@ -50,8 +59,7 @@ class Multiplicity(str, Enum):
     MANY = "MANY"
 
 
-@dataclass(frozen=True)
-class ValueSchema:
+class ValueSchema(NamedTuple):
     """Value contract for one concept.
 
     ``vocabulary`` names the controlled vocabulary for ``TERM``/``TERM_LIST``
@@ -119,23 +127,25 @@ def has_surrogate(text: str) -> bool:
     return not text.isascii() and re.search(_SURROGATE, text) is not None
 
 
-@dataclass(frozen=True)
-class FieldValue:
+class _FieldValueItems(NamedTuple):
+    kind: ValueKind
+    value: str | bool
+
+
+class FieldValue(_FieldValueItems):
     """One field value: a kind tag plus a scalar payload.
 
     Construction validates the lexical form, so a FieldValue that exists is
     well-formed for its kind.
     """
 
-    kind: ValueKind
-    value: str | bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        kind, value = self.kind, self.value
+    def __new__(cls, kind: ValueKind, value: str | bool) -> "FieldValue":
         if kind is ValueKind.BOOLEAN:
             if not isinstance(value, bool):
                 raise ValueError(f"BOOLEAN value must be a bool, got {value!r}")
-            return
+            return tuple.__new__(cls, (kind, value))
         if not isinstance(value, str):
             raise ValueError(f"{kind.value} value must be a string, got {value!r}")
         if has_surrogate(value):
@@ -149,10 +159,19 @@ class FieldValue:
         if kind is ValueKind.URI and not is_absolute_iri(value):
             raise ValueError(f"not an absolute IRI: {value!r}")
         if kind is ValueKind.DATE:
+            # Imported here, not at module level: few commands see a DATE.
+            from datetime import date
+
             try:
                 date.fromisoformat(value)
             except ValueError as exc:
                 raise ValueError(f"not an ISO-8601 date: {value!r}") from exc
+        return tuple.__new__(cls, (kind, value))
+
+    @classmethod
+    def _make(cls, iterable) -> "FieldValue":
+        # ``_replace`` builds through ``_make``: check the new items too.
+        return cls(*iterable)
 
     @property
     def lexical(self) -> str:
@@ -178,14 +197,14 @@ def field_values(
     return [FieldValue(kind, v) for v in raw]
 
 
-@dataclass(frozen=True)
-class RopaRecord:
+class RopaRecord(NamedTuple):
     """One processing activity: metadata plus populated concept fields."""
 
     record_id: str
     controller_name: str
     created: str
-    fields: Mapping[str, tuple[FieldValue, ...]] = field(default_factory=dict)
+    # Read-only, so that records built without fields share no writable dict.
+    fields: Mapping[str, tuple[FieldValue, ...]] = MappingProxyType({})
 
     def values(self, concept_id: str) -> tuple[FieldValue, ...]:
         return self.fields.get(concept_id, ())
@@ -242,4 +261,4 @@ def set_field(
         fields[concept_id] = values
     else:
         fields.pop(concept_id, None)
-    return replace(record, fields=fields)
+    return record._replace(fields=fields)

@@ -18,11 +18,9 @@ import hashlib
 import io
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import EmbeddedDataCorrupt, UnknownConcept
 from .records import Multiplicity, ValueKind, ValueSchema
@@ -87,8 +85,7 @@ _SCHEMA_HEADER = ["concept_id", "value_kind", "multiplicity", "vocabulary"]
 _VOCAB_HEADER = ["vocabulary", "term"]
 
 
-@dataclass(frozen=True)
-class CoveragePair:
+class CoveragePair(NamedTuple):
     """Count of field values a template specifies vs. what DPV provides."""
 
     template_values: int
@@ -99,8 +96,7 @@ class CoveragePair:
         return self.dpv_values >= self.template_values
 
 
-@dataclass(frozen=True)
-class ConceptDescriptor:
+class ConceptDescriptor(NamedTuple):
     """One registry row."""
 
     id: str
@@ -115,8 +111,7 @@ class ConceptDescriptor:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class JurisdictionProfile:
+class JurisdictionProfile(NamedTuple):
     """A regulator template: declared field count plus its concept set.
 
     ``declared_field_count`` is kept independent of ``len(concepts)``; the
@@ -129,8 +124,7 @@ class JurisdictionProfile:
     concepts: frozenset[str]
 
 
-@dataclass(frozen=True)
-class MappingSummary:
+class MappingSummary(NamedTuple):
     """Outcome-class counts over the 43 concept rows."""
 
     exact: int
@@ -145,15 +139,13 @@ class MappingSummary:
         return all(d == 0 for d in self.published_delta.values())
 
 
-@dataclass(frozen=True)
-class CoverageStat:
+class CoverageStat(NamedTuple):
     concept_id: str
     coverage: CoveragePair
     sufficient: bool
 
 
-@dataclass(frozen=True)
-class SelfCheckReport:
+class SelfCheckReport(NamedTuple):
     """Structured consistency report over the embedded dataset.
 
     Discrepancies are report content, never exceptions: the dataset is a
@@ -192,13 +184,37 @@ class SelfCheckReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
 class ConceptRegistry:
     """Immutable, queryable view of the embedded concept table."""
 
-    rows: tuple[ConceptDescriptor, ...]
-    profiles: Mapping[Jurisdiction, JurisdictionProfile]
-    vocabularies: Mapping[str, frozenset[str]]
+    __slots__ = ("rows", "profiles", "vocabularies", "_by_id", "_order")
+
+    def __init__(
+        self,
+        rows: tuple[ConceptDescriptor, ...],
+        profiles: Mapping[Jurisdiction, JurisdictionProfile],
+        vocabularies: Mapping[str, frozenset[str]],
+    ) -> None:
+        init = object.__setattr__
+        init(self, "rows", rows)
+        init(self, "profiles", profiles)
+        init(self, "vocabularies", vocabularies)
+        init(self, "_by_id", {row.id: row for row in rows})
+        init(self, "_order", {row.id: i for i, row in enumerate(rows)})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.profiles, self.vocabularies) == (
+            other.rows, other.profiles, other.vocabularies
+        )
+
     # -- lookups ------------------------------------------------------------
 
     @property
@@ -210,14 +226,6 @@ class ConceptRegistry:
     def concepts(self) -> tuple[ConceptDescriptor, ...]:
         """The 43 concept rows in table order, container excluded."""
         return self.rows[1:]
-
-    @cached_property
-    def _by_id(self) -> Mapping[str, ConceptDescriptor]:
-        return {row.id: row for row in self.rows}
-
-    @cached_property
-    def _order(self) -> Mapping[str, int]:
-        return {row.id: i for i, row in enumerate(self.rows)}
 
     def concept(self, concept_id: str) -> ConceptDescriptor:
         try:

@@ -20,9 +20,8 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicateCell, HeaderMismatch, MalformedCsv, UnknownConcept
 from .records import (
@@ -51,16 +50,14 @@ class LossReason(str, Enum):
     UNREPRESENTABLE_VALUE = "UNREPRESENTABLE_VALUE"
 
 
-@dataclass(frozen=True)
-class ConversionLossReport:
+class ConversionLossReport(NamedTuple):
     """What a conversion or template export dropped, and why."""
 
     lost: tuple[tuple[str, LossReason], ...]
     retained_count: int
 
 
-@dataclass(frozen=True)
-class TemplateProfileConfig:
+class TemplateProfileConfig(NamedTuple):
     """Ordered mapping from a template's column headers to concept ids."""
 
     jurisdiction: Jurisdiction
@@ -474,4 +471,4 @@ def convert(
         for cid in sorted(record.fields, key=registry.table_index)
         if cid not in target
     )
-    return replace(record, fields=fields), ConversionLossReport(lost, len(fields))
+    return record._replace(fields=fields), ConversionLossReport(lost, len(fields))

@@ -7,8 +7,8 @@ order, then by finding code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .records import Multiplicity, RopaRecord, ValueKind
 from .registry import ConceptRegistry, Jurisdiction, JurisdictionProfile
@@ -34,16 +34,14 @@ _SEVERITY: dict[FindingCode, Severity] = {
 }
 
 
-@dataclass(frozen=True)
-class ValidationFinding:
+class ValidationFinding(NamedTuple):
     concept: str
     severity: Severity
     code: FindingCode
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     findings: tuple[ValidationFinding, ...]
 
     @property
@@ -156,8 +154,7 @@ def validate_against_profile(
     return _validate(record, registry, profile)
 
 
-@dataclass(frozen=True)
-class GapStatus:
+class GapStatus(NamedTuple):
     errors: int
     warnings: int
     ready: bool

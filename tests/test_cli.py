@@ -276,6 +276,43 @@ def test_stdout_is_utf8_under_an_ascii_locale(tmp_path, command):
     assert "Café GmbH".encode() in result.stdout
 
 
+def test_stderr_is_utf8_under_an_ascii_locale(tmp_path):
+    record = set_field(
+        new_record("pa-1", "Café GmbH", CREATED), REGISTRY, "retention-deletion-periods",
+        field_values(REGISTRY, "retention-deletion-periods", "P1D"),
+    )
+    text, _ = export_template(record, default_config(REGISTRY, Jurisdiction.CY), REGISTRY)
+    path = tmp_path / "input.csv"
+    path.write_text(text.replace("P1D", "P1é"), encoding="utf-8", newline="")
+    args = ["import", "--input", str(path), "--template", "CY", "--out", str(tmp_path / "out")]
+    utf8 = _run_module(*args, PYTHONIOENCODING="utf-8")
+    ascii_ = _run_module(*args, PYTHONIOENCODING="ascii")
+    assert utf8.returncode == ascii_.returncode == 0
+    assert "not an ISO-8601 duration: 'P1é'".encode() in utf8.stderr
+    assert ascii_.stderr == utf8.stderr
+
+
+def test_start_up_imports_no_dataclasses():
+    # ``dataclasses`` costs about 10 ms to import, with ``inspect``, ``ast``,
+    # ``dis`` and ``tokenize``.  Modules the stdlib's own importlib.resources
+    # loads are not counted: from Python 3.12 on it imports ``inspect``.
+    code = (
+        "import sys, importlib.resources\n"
+        "stdlib = set(sys.modules)\n"
+        "import ropa_dpv.cli\n"
+        "ropa_dpv.cli.load_registry()\n"
+        "loaded = set(sys.modules) - stdlib\n"
+        "print(sorted(loaded & {'dataclasses', 'inspect', 'datetime'}))\n"
+    )
+    src = str(Path(ropa_dpv.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"[]\n"
+
+
 def test_usage_error_exit_two(capsys):
     assert cli_main(["validate"]) == 2
     assert cli_main(["frobnicate"]) == 2
