@@ -17,9 +17,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 from enum import Enum
-from importlib import resources
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import EmbeddedDataCorrupt, UnknownConcept
@@ -304,10 +304,12 @@ class ConceptRegistry:
 
 
 def _read_packaged(*parts: str) -> bytes:
-    resource = resources.files("ropa_dpv").joinpath("data", *parts)
+    # Through this module's own loader, which reads from a directory or a zip
+    # archive alike; ``importlib.resources`` imports ``inspect`` from 3.12 on.
+    path = os.path.join(os.path.dirname(__file__), "data", *parts)
     try:
-        return resource.read_bytes()
-    except (FileNotFoundError, OSError) as exc:
+        return __loader__.get_data(path)
+    except OSError as exc:
         raise EmbeddedDataCorrupt(f"missing packaged data file {'/'.join(parts)}") from exc
 
 

@@ -146,6 +146,8 @@ def _unescape(cell: str) -> str:
 
 
 def _split_cell(cell: str) -> list[str]:
+    if "\\" not in cell:  # nothing is escaped
+        return cell.split(";")
     return [_unescape(p) for p in re.split(r"(?<!\\);", cell)]
 
 
@@ -199,6 +201,55 @@ def _csv_text(rows: Sequence[Sequence[object]]) -> str:
 
 # -- canonical interchange format ----------------------------------------------
 
+_KINDS: dict[str, ValueKind] = {kind.value: kind for kind in ValueKind}
+
+
+class _ValueMemo(dict):
+    """``(kind, lexical) -> FieldValue`` for one parse: each distinct valid
+    value is built once.  A form the kind rejects is not stored, so each of
+    its occurrences raises, and is reported, on its own."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[ValueKind, str]) -> FieldValue:
+        value = self[key] = FieldValue.from_lexical(*key)
+        return value
+
+
+def _canonical_rows(reader) -> dict[str, dict[tuple[str, int], tuple[int, str, str]]]:
+    """record_id -> {(concept_id, value_index): (line, kind_tag, value)}, in file
+    order.  Raises on the first bad row.
+
+    One dict per record, not one per cell: containers that live until the
+    whole file is read are rescanned by every full garbage collection.
+    """
+    header = next(reader, None)
+    if header is None or tuple(header) != CANONICAL_HEADER:
+        raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
+    by_record: dict[str, dict[tuple[str, int], tuple[int, str, str]]] = {}
+    for row in reader:
+        if len(row) != 5:
+            raise MalformedCsv(reader.line_num, f"expected 5 columns, got {len(row)}")
+        record_id, concept_id, index_cell, kind_tag, value = row
+        record_rows = by_record.get(record_id)
+        if record_rows is None:
+            if not _RECORD_ID_RE.fullmatch(record_id):
+                raise MalformedCsv(reader.line_num, f"invalid record id {record_id!r}")
+            record_rows = by_record[record_id] = {}
+        try:
+            value_index = int(index_cell)
+        except ValueError:
+            raise MalformedCsv(
+                reader.line_num, f"value_index is not an integer: {index_cell!r}"
+            ) from None
+        if value_index < 0:
+            raise MalformedCsv(reader.line_num, f"negative value_index {value_index}")
+        key = (concept_id, value_index)
+        if key in record_rows:
+            raise DuplicateCell(record_id, concept_id, value_index)
+        record_rows[key] = (reader.line_num, kind_tag, value)
+    return by_record
+
 
 def parse_canonical(
     source: bytes | str, registry: ConceptRegistry
@@ -206,50 +257,43 @@ def parse_canonical(
     """Parse a canonical interchange file.
 
     Returns records in file order plus warnings for every dropped value.
-    Structural problems raise :class:`MalformedCsv` or :class:`DuplicateCell`.
+    Structural problems raise :class:`MalformedCsv` or :class:`DuplicateCell`;
+    bad CSV quoting anywhere in the file takes precedence over a bad row.
     """
-    rows = _read_csv(source)
-    if not rows or tuple(rows[0][1]) != CANONICAL_HEADER:
-        raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
+    reader = csv.reader(io.StringIO(_decode(source)), strict=True)
+    try:
+        try:
+            by_record = _canonical_rows(reader)
+        except (MalformedCsv, DuplicateCell):
+            for _ in reader:  # a CSV error further on wins
+                pass
+            raise
+    except csv.Error as exc:
+        raise MalformedCsv(reader.line_num, str(exc)) from exc
 
     warnings: list[str] = []
-    # (record_id, concept_id) -> {value_index: (line, kind_tag, value)}
-    cells: dict[tuple[str, str], dict[int, tuple[int, str, str]]] = {}
-    for line, row in rows[1:]:
-        if len(row) != 5:
-            raise MalformedCsv(line, f"expected 5 columns, got {len(row)}")
-        record_id, concept_id, index_cell, kind_tag, value = row
-        if not _RECORD_ID_RE.fullmatch(record_id):
-            raise MalformedCsv(line, f"invalid record id {record_id!r}")
-        try:
-            value_index = int(index_cell)
-        except ValueError:
-            raise MalformedCsv(
-                line, f"value_index is not an integer: {index_cell!r}"
-            ) from None
-        if value_index < 0:
-            raise MalformedCsv(line, f"negative value_index {value_index}")
-        cell = cells.setdefault((record_id, concept_id), {})
-        if value_index in cell:
-            raise DuplicateCell(record_id, concept_id, value_index)
-        cell[value_index] = (line, kind_tag, value)
-
-    # record_id -> concept_id -> entries in index order; keys in order of first appearance
-    by_record: dict[str, dict[str, list[tuple[int, str, str]]]] = {}
-    for (record_id, concept_id), cell in cells.items():
-        if max(cell) != len(cell) - 1:
-            raise MalformedCsv(
-                next(iter(cell.values()))[0],
-                f"value_index not contiguous from 0 for ({record_id!r}, {concept_id!r})",
-            )
-        by_record.setdefault(record_id, {})[concept_id] = [cell[i] for i in range(len(cell))]
-
+    memo = _ValueMemo()
     records: list[RopaRecord] = []
-    for record_id, record_cells in by_record.items():
+    # (first line, record_id, concept_id) per cell whose value indexes do not
+    # run from 0 without a gap; the one seen first in the file is raised.
+    gaps: list[tuple[int, str, str]] = []
+    for record_id, record_rows in by_record.items():
         controller_name = None
         created = None
         fields: dict[str, tuple[FieldValue, ...]] = {}
-        for concept_id, entries in record_cells.items():
+        cells: dict[str, dict[int, tuple[int, str, str]]] = {}
+        for (concept_id, value_index), entry in record_rows.items():
+            cell = cells.get(concept_id)
+            if cell is None:
+                cells[concept_id] = {value_index: entry}
+            else:
+                cell[value_index] = entry
+        for concept_id, cell in cells.items():
+            try:
+                entries = [cell[i] for i in range(len(cell))]
+            except KeyError:
+                gaps.append((next(iter(cell.values()))[0], record_id, concept_id))
+                continue
             if concept_id in (META_CONTROLLER_NAME, META_CREATED):
                 if len(entries) > 1:
                     warnings.append(
@@ -275,9 +319,8 @@ def parse_canonical(
             schema = descriptor.value_schema
             values: list[FieldValue] = []
             for line, kind_tag, value in entries:
-                try:
-                    kind = ValueKind(kind_tag)
-                except ValueError:
+                kind = _KINDS.get(kind_tag)
+                if kind is None:
                     warnings.append(
                         f"line {line}: unknown value kind {kind_tag!r} for "
                         f"{concept_id!r}; value dropped"
@@ -290,7 +333,7 @@ def parse_canonical(
                     )
                     continue
                 try:
-                    values.append(FieldValue.from_lexical(kind, value))
+                    values.append(memo[kind, value])
                 except ValueError as exc:
                     warnings.append(f"line {line}: {concept_id!r}: {exc}; value dropped")
             if schema.multiplicity is Multiplicity.ONE and len(values) > 1:
@@ -325,6 +368,11 @@ def parse_canonical(
             )
             created = FALLBACK_CREATED
         records.append(RopaRecord(record_id, controller_name, created, fields))
+    if gaps:
+        line, record_id, concept_id = min(gaps)
+        raise MalformedCsv(
+            line, f"value_index not contiguous from 0 for ({record_id!r}, {concept_id!r})"
+        )
     return records, warnings
 
 
@@ -373,19 +421,23 @@ def import_template(
         raise HeaderMismatch(missing)
 
     warnings = [f"mapped column {h!r} missing from input" for h in missing]
-    column_concepts: list[str | None] = []
+    # Per file column: (concept_id, value kind, whether a cell holds a list), or None.
+    columns: list[tuple[str, ValueKind, bool] | None] = []
     seen_headers: set[str] = set()
     for header in file_headers:
         if header in seen_headers:
             warnings.append(f"duplicate column {header!r}; ignored")
-            column_concepts.append(None)
+            columns.append(None)
         elif header in by_header:
-            column_concepts.append(by_header[header])
+            cid = by_header[header]
+            schema = registry.concept(cid).value_schema
+            columns.append((cid, schema.kind, schema.multiplicity is Multiplicity.MANY))
         else:
             warnings.append(f"column {header!r} is not mapped; ignored")
-            column_concepts.append(None)
+            columns.append(None)
         seen_headers.add(header)
 
+    memo = _ValueMemo()
     records: list[RopaRecord] = []
     code = config.jurisdiction.value.lower()
     for line, row in rows[1:]:
@@ -395,18 +447,14 @@ def import_template(
             )
         number = len(records) + 1
         fields: dict[str, tuple[FieldValue, ...]] = {}
-        for cid, cell in zip(column_concepts, row):
-            if cid is None or not cell.strip():
+        for column, cell in zip(columns, row):
+            if column is None or not cell.strip():
                 continue
-            schema = registry.concept(cid).value_schema
-            if schema.multiplicity is Multiplicity.MANY:
-                raw_items = _split_cell(cell)
-            else:
-                raw_items = [_unescape(cell)]
+            cid, kind, many = column
             values = []
-            for item in raw_items:
+            for item in _split_cell(cell) if many else [_unescape(cell)]:
                 try:
-                    values.append(FieldValue.from_lexical(schema.kind, item))
+                    values.append(memo[kind, item])
                 except ValueError as exc:
                     warnings.append(f"line {line}: {cid!r}: {exc}; value dropped")
             if values:

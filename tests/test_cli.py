@@ -313,6 +313,24 @@ def test_start_up_imports_no_dataclasses():
     assert result.stdout == b"[]\n"
 
 
+def test_start_up_imports_no_importlib_resources():
+    # From Python 3.12 on, ``importlib.resources`` imports ``inspect`` (with
+    # ``ast``, ``dis`` and ``tokenize``); packaged data is read without it.
+    code = (
+        "import sys\n"
+        "import ropa_dpv.cli\n"
+        "ropa_dpv.cli.load_registry()\n"
+        "print(sorted(set(sys.modules) & {'importlib.resources', 'inspect'}))\n"
+    )
+    src = str(Path(ropa_dpv.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"[]\n"
+
+
 def test_usage_error_exit_two(capsys):
     assert cli_main(["validate"]) == 2
     assert cli_main(["frobnicate"]) == 2

@@ -1,5 +1,11 @@
 """Registry loading, lookups and aggregate statistics."""
 
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
+
 import pytest
 
 from ropa_dpv import (
@@ -186,3 +192,27 @@ def test_tampered_data_raises(monkeypatch, registry):
     monkeypatch.setattr(registry_module, "_read_packaged", tampered)
     with pytest.raises(EmbeddedDataCorrupt):
         load_registry()
+
+
+def test_missing_data_file_raises():
+    with pytest.raises(EmbeddedDataCorrupt, match=r"^missing packaged data file no/such\.csv$"):
+        registry_module._read_packaged("no", "such.csv")
+
+
+def test_loads_from_a_zip_archive(tmp_path):
+    package = Path(registry_module.__file__).parent
+    archive = tmp_path / "ropa_dpv.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(package.parent).as_posix())
+    code = (
+        "import ropa_dpv.registry as r\n"
+        "print(type(r.__loader__).__name__, len(r.load_registry().concepts))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(archive)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"zipimporter 43\n"

@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import io
+from collections import Counter
 
 import pytest
 
+import canonical_reference
 from ropa_dpv import (
     DuplicateCell,
     FieldValue,
@@ -13,6 +15,7 @@ from ropa_dpv import (
     Jurisdiction,
     LossReason,
     MalformedCsv,
+    RopaError,
     RopaRecord,
     ValueKind,
     convert,
@@ -554,3 +557,138 @@ def test_convert_partition_and_metadata(registry, full_record):
     assert (result.record_id, result.controller_name, result.created) == (
         full_record.record_id, full_record.controller_name, full_record.created,
     )
+
+
+# -- building each distinct value once -------------------------------------------
+
+
+@pytest.fixture()
+def from_lexical_calls(monkeypatch):
+    """Every ``(kind, lexical)`` that ``FieldValue.from_lexical`` is called with,
+    counting through a wrapper set on the class, as a tracer would set it."""
+    calls = []
+    original = vars(FieldValue)["from_lexical"].__func__
+
+    def counting(cls, kind, lexical):
+        calls.append((kind, lexical))
+        return original(cls, kind, lexical)
+
+    monkeypatch.setattr(FieldValue, "from_lexical", classmethod(counting))
+    return calls
+
+
+def test_parse_builds_each_distinct_valid_value_once(registry, from_lexical_calls):
+    text = HEADER + META + (
+        "pa-1,processor,0,TEXT,One Corp\n"
+        "pa-1,processor,1,TEXT,Two Corp\n"
+        "pa-1,retention-deletion-periods,0,DURATION,soon\n"
+        "pa-1,retention-deletion-periods,1,DURATION,P1Y\n"
+        "pa-2,_meta:controller_name,0,TEXT,Beta BV\n"
+        "pa-2,_meta:created,0,TEXT,2024-03-01T10:00:00+00:00\n"
+        "pa-2,processor,0,TEXT,One Corp\n"
+        "pa-2,original-source-of-data,0,TEXT_LIST,One Corp\n"
+        "pa-2,retention-deletion-periods,0,DURATION,soon\n"
+        "pa-2,retention-deletion-periods,1,DURATION,P1Y\n"
+        "pa-2,retention-deletion-periods,2,DURATION,soon\n"
+    )
+    records, warnings = parse_canonical(text, registry)
+    assert Counter(from_lexical_calls) == {
+        (ValueKind.TEXT, "One Corp"): 1,
+        (ValueKind.TEXT, "Two Corp"): 1,
+        (ValueKind.TEXT_LIST, "One Corp"): 1,
+        (ValueKind.DURATION, "P1Y"): 1,
+        (ValueKind.DURATION, "soon"): 3,
+    }
+    assert warnings == [
+        f"line {line}: 'retention-deletion-periods': not an ISO-8601 duration: "
+        "'soon'; value dropped"
+        for line in (6, 12, 14)
+    ]
+
+    parse_canonical(text, registry)  # a second call shares nothing with the first
+    assert len(from_lexical_calls) == 2 * 7
+    assert (records, warnings) == canonical_reference.parse_canonical(text, registry)
+
+
+def test_import_builds_each_distinct_valid_value_once(registry, from_lexical_calls):
+    config = make_config(
+        Jurisdiction.BE,
+        [("Processors", "processor"), ("Retention", "retention-deletion-periods")],
+        registry,
+    )
+    text = (
+        "Processors,Retention\n"
+        "One Corp;Two Corp,soon;P1Y\n"
+        "One Corp,P1Y;soon\n"
+        "Two Corp,soon\n"
+    )
+    records, warnings = import_template(text, config, registry)
+    assert Counter(from_lexical_calls) == {
+        (ValueKind.TEXT, "One Corp"): 1,
+        (ValueKind.TEXT, "Two Corp"): 1,
+        (ValueKind.DURATION, "P1Y"): 1,
+        (ValueKind.DURATION, "soon"): 3,
+    }
+    assert warnings == [
+        f"line {line}: 'retention-deletion-periods': not an ISO-8601 duration: "
+        "'soon'; value dropped"
+        for line in (2, 3, 4)
+    ]
+    assert [r.fields for r in records] == [
+        {
+            "processor": (
+                FieldValue(ValueKind.TEXT, "One Corp"), FieldValue(ValueKind.TEXT, "Two Corp")
+            ),
+            "retention-deletion-periods": (FieldValue(ValueKind.DURATION, "P1Y"),),
+        },
+        {
+            "processor": (FieldValue(ValueKind.TEXT, "One Corp"),),
+            "retention-deletion-periods": (FieldValue(ValueKind.DURATION, "P1Y"),),
+        },
+        {"processor": (FieldValue(ValueKind.TEXT, "Two Corp"),)},
+    ]
+
+    import_template(text, config, registry)  # a second call shares nothing with the first
+    assert len(from_lexical_calls) == 2 * 6
+
+
+# -- which error a file with several faults raises -----------------------------------
+
+# csv's strict mode rejects a quote that closes before the field ends.
+BARE_QUOTE = 'pa-1,"proc"essor,5,TEXT,Five Corp\n'
+BARE_QUOTE_ERROR = "',' expected after '\"'"
+
+
+def _parse_error(parse, text, registry):
+    with pytest.raises(RopaError) as excinfo:
+        parse(text, registry)
+    return type(excinfo.value), str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        pytest.param(
+            HEADER + "pa-1,_meta:controller_name,0,TEXT,Acme GmbH\n"
+            "pa 1,_meta:created,0,TEXT,2024-03-01T10:00:00+00:00\n"
+            + "".join(f"pa-1,processor,{i},TEXT,Corp {i}\n" for i in range(5))
+            + BARE_QUOTE,
+            (MalformedCsv, f"line 9: {BARE_QUOTE_ERROR}"),
+            id="bad-quote-after-invalid-record-id",
+        ),
+        pytest.param(
+            "record_id,concept_id,value_index,value_kind\n" + META + BARE_QUOTE,
+            (MalformedCsv, f"line 4: {BARE_QUOTE_ERROR}"),
+            id="bad-quote-after-wrong-header",
+        ),
+        pytest.param(
+            HEADER + META + "pa-1,processor,0,TEXT,One Corp\n"
+            "pa-1,processor,0,TEXT,Two Corp\n" "pa-1,processor,1,TEXT\n",
+            (DuplicateCell, str(DuplicateCell("pa-1", "processor", 0))),
+            id="duplicate-cell-before-wrong-column-count",
+        ),
+    ],
+)
+def test_parse_error_precedence_matches_reference(registry, text, expected):
+    assert _parse_error(parse_canonical, text, registry) == expected
+    assert _parse_error(canonical_reference.parse_canonical, text, registry) == expected
