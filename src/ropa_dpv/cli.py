@@ -146,6 +146,14 @@ def _print_warnings(warnings: list[str]) -> None:
         print(f"ropa: warning: {warning}", file=sys.stderr)
 
 
+def _load_canonical(args):
+    """The registry and the records of ``args.input``, warnings printed."""
+    registry = load_registry()
+    records, warnings = parse_canonical(_read_file(args.input), registry)
+    _print_warnings(warnings)
+    return registry, records
+
+
 def _cmd_stats(args) -> int:
     registry = load_registry()
     summary = registry.mapping_summary()
@@ -155,15 +163,7 @@ def _cmd_stats(args) -> int:
         _emit_json(
             "stats",
             [
-                {
-                    "section": "mapping_summary",
-                    "exact": summary.exact,
-                    "partial": summary.partial,
-                    "complex": summary.complex,
-                    "none": summary.none,
-                    "total": summary.total,
-                    "published_delta": dict(summary.published_delta),
-                },
+                {"section": "mapping_summary", **summary._asdict()},
                 {
                     "section": "coverage",
                     "entries": [
@@ -182,13 +182,8 @@ def _cmd_stats(args) -> int:
         return 0
     print(f"concepts: {summary.total} (plus the register container row)")
     print("mapping outcomes:")
-    for name, count in [
-        ("exact", summary.exact),
-        ("partial", summary.partial),
-        ("complex", summary.complex),
-        ("none", summary.none),
-    ]:
-        delta = summary.published_delta[name]
+    for name, delta in summary.published_delta.items():
+        count = getattr(summary, name)
         suffix = "" if delta == 0 else f"  (published reference {count - delta}, delta {delta:+d})"
         print(f"  {name:<8} {count:>3}{suffix}")
     print("specified field values vs DPV:")
@@ -203,20 +198,16 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    registry = load_registry()
-    records, warnings = parse_canonical(_read_file(args.input), registry)
-    _print_warnings(warnings)
+    registry, records = _load_canonical(args)
     profile = (
         registry.profiles[Jurisdiction(args.profile)] if args.profile else None
     )
     results = []
-    any_error = False
     for record in records:
         if profile is None:
             report = validate_article30(record, registry)
         else:
             report = validate_against_profile(record, profile, registry)
-        any_error = any_error or not report.compliant
         results.append((record, report))
     if args.json:
         _emit_json(
@@ -247,13 +238,11 @@ def _cmd_validate(args) -> int:
             )
             for f in report.findings:
                 print(f"  {f.severity.value:<7} {f.code.value:<22} {f.concept}: {f.message}")
-    return 1 if any_error else 0
+    return 0 if all(report.compliant for _, report in results) else 1
 
 
 def _cmd_convert(args) -> int:
-    registry = load_registry()
-    records, warnings = parse_canonical(_read_file(args.input), registry)
-    _print_warnings(warnings)
+    registry, records = _load_canonical(args)
     to_config = default_config(registry, Jurisdiction(args.to_jurisdiction))
     converted = []
     results = []
@@ -296,9 +285,7 @@ def _cmd_export(args) -> int:
         if not is_absolute_iri(iri):
             print(f"ropa: error: {flag} is not an absolute IRI: {iri!r}", file=sys.stderr)
             return 2
-    registry = load_registry()
-    records, warnings = parse_canonical(_read_file(args.input), registry)
-    _print_warnings(warnings)
+    registry, records = _load_canonical(args)
     graph = records_to_graph(records, registry, base=args.base, ropaex=args.ropaex)
     text = serialize_turtle(graph) if args.format == "turtle" else serialize_jsonld(graph)
     _write_file(args.out, text)
@@ -318,9 +305,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    registry = load_registry()
-    records, warnings = parse_canonical(_read_file(args.input), registry)
-    _print_warnings(warnings)
+    registry, records = _load_canonical(args)
     rule = QueryRule(
         RuleId(args.rule),
         Jurisdiction(args.jurisdiction) if args.jurisdiction else None,
@@ -380,10 +365,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except RopaError as exc:
-        print(f"ropa: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RopaError, OSError) as exc:
         print(f"ropa: error: {exc}", file=sys.stderr)
         return 2
 

@@ -252,25 +252,15 @@ class ConceptRegistry:
         return tuple(c.id for c in self.concepts if c.mandatory)
 
     def mapping_summary(self) -> MappingSummary:
-        counts = {o: 0 for o in MappingOutcome}
+        counts = dict.fromkeys(PUBLISHED_OUTCOME_COUNTS, 0)
         for c in self.concepts:
-            counts[c.outcome] += 1
-        encoded = {
-            "exact": counts[MappingOutcome.EXACT],
-            "partial": counts[MappingOutcome.PARTIAL],
-            "complex": counts[MappingOutcome.COMPLEX],
-            "none": counts[MappingOutcome.NONE],
-        }
-        delta = {
-            name: encoded[name] - PUBLISHED_OUTCOME_COUNTS[name] for name in encoded
-        }
+            counts[c.outcome.value.lower()] += 1
         return MappingSummary(
-            exact=encoded["exact"],
-            partial=encoded["partial"],
-            complex=encoded["complex"],
-            none=encoded["none"],
-            total=sum(encoded.values()),
-            published_delta=delta,
+            **counts,
+            total=sum(counts.values()),
+            published_delta={
+                name: count - PUBLISHED_OUTCOME_COUNTS[name] for name, count in counts.items()
+            },
         )
 
     def coverage_stats(self) -> tuple[CoverageStat, ...]:
@@ -329,9 +319,8 @@ def read_verified(*parts: str) -> bytes:
     return data
 
 
-def _rows(data: bytes, expected_header: list[str], name: str) -> Iterator[list[str]]:
-    text = data.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
+def _rows(name: str, expected_header: list[str]) -> Iterator[list[str]]:
+    reader = csv.reader(io.StringIO(read_verified(name).decode("utf-8")))
     header = next(reader, None)
     if header != expected_header:
         raise EmbeddedDataCorrupt(f"{name}: unexpected header {header!r}")
@@ -343,9 +332,7 @@ def _rows(data: bytes, expected_header: list[str], name: str) -> Iterator[list[s
 
 def _parse_schema_table() -> dict[str, ValueSchema]:
     schemas: dict[str, ValueSchema] = {}
-    for row in _rows(
-        read_verified("value_schemas.csv"), _SCHEMA_HEADER, "value_schemas.csv"
-    ):
+    for row in _rows("value_schemas.csv", _SCHEMA_HEADER):
         cid, kind_tag, mult_tag, vocab = row
         try:
             kind = ValueKind(kind_tag)
@@ -369,9 +356,7 @@ def _parse_schema_table() -> dict[str, ValueSchema]:
 
 def _parse_vocabularies() -> dict[str, frozenset[str]]:
     seeded: dict[str, set[str]] = {}
-    for row in _rows(
-        read_verified("vocabularies.csv"), _VOCAB_HEADER, "vocabularies.csv"
-    ):
+    for row in _rows("vocabularies.csv", _VOCAB_HEADER):
         vocab, term = row
         if not vocab or not term:
             raise EmbeddedDataCorrupt("vocabularies.csv: empty vocabulary or term")
@@ -391,9 +376,7 @@ def load_registry() -> ConceptRegistry:
     rows: list[ConceptDescriptor] = []
     seen: set[str] = set()
     coverage_count = 0
-    for row in _rows(
-        read_verified("concept_table.csv"), _TABLE_HEADER, "concept_table.csv"
-    ):
+    for row in _rows("concept_table.csv", _TABLE_HEADER):
         (cid, display, article, mandatory, terms_cell, outcome_tag,
          cov_template, cov_dpv, juris_cell, note) = row
         if not _CONCEPT_ID_RE.fullmatch(cid):

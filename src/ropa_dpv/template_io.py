@@ -10,14 +10,17 @@ Two CSV shapes are handled here:
   with columns mapped to concepts by a :class:`TemplateProfileConfig`.
 
 Parsing is forgiving: schema violations become warnings and the offending
-value is dropped.  Structural failures (bad quoting, wrong column count,
-duplicate cells) are hard errors.  All output is UTF-8 with LF endings and
-a trailing LF, and is byte-deterministic for equal inputs.
+value is dropped.  Structural failures (invalid UTF-8, bad quoting, wrong
+column count, duplicate cells) are hard errors, and a file raises only one:
+invalid UTF-8, else bad CSV quoting anywhere in the file, else the first bad
+row, else the first gap in a cell's value indexes.  All output is UTF-8 with
+LF endings and a trailing LF, and is byte-deterministic for equal inputs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from enum import Enum
@@ -158,26 +161,30 @@ def _representable(values: Iterable[FieldValue]) -> bool:
 # -- CSV plumbing --------------------------------------------------------------
 
 
-def _decode(source: bytes | str) -> str:
+def _read(source: bytes | str, parse):
+    """``parse(reader)`` over a strict ``csv.reader`` of ``source``, with the
+    error precedence of the module docstring: a CSV error, even one after
+    the row that ``parse`` rejects, raises as :class:`MalformedCsv`."""
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedCsv(0, f"input is not valid UTF-8: {exc}") from exc
-    return source
+    reader = csv.reader(io.StringIO(source), strict=True)
+    try:
+        try:
+            return parse(reader)
+        except (MalformedCsv, DuplicateCell):
+            for _ in reader:  # a CSV error further on wins
+                pass
+            raise
+    except csv.Error as exc:
+        raise MalformedCsv(reader.line_num, str(exc)) from exc
 
 
 def _read_csv(source: bytes | str) -> list[tuple[int, list[str]]]:
-    """Read CSV rows with line numbers; structural failures raise MalformedCsv."""
-    text = _decode(source)
-    reader = csv.reader(io.StringIO(text), strict=True)
-    rows: list[tuple[int, list[str]]] = []
-    try:
-        for row in reader:
-            rows.append((reader.line_num, row))
-    except csv.Error as exc:
-        raise MalformedCsv(reader.line_num, str(exc)) from exc
-    return rows
+    """CSV rows with their line numbers."""
+    return _read(source, lambda reader: [(reader.line_num, row) for row in reader])
 
 
 def _csv_text(rows: Sequence[Sequence[object]]) -> str:
@@ -202,18 +209,6 @@ def _csv_text(rows: Sequence[Sequence[object]]) -> str:
 # -- canonical interchange format ----------------------------------------------
 
 _KINDS: dict[str, ValueKind] = {kind.value: kind for kind in ValueKind}
-
-
-class _ValueMemo(dict):
-    """``(kind, lexical) -> FieldValue`` for one parse: each distinct valid
-    value is built once.  A form the kind rejects is not stored, so each of
-    its occurrences raises, and is reported, on its own."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: tuple[ValueKind, str]) -> FieldValue:
-        value = self[key] = FieldValue.from_lexical(*key)
-        return value
 
 
 def _canonical_rows(reader) -> dict[str, dict[tuple[str, int], tuple[int, str, str]]]:
@@ -257,22 +252,13 @@ def parse_canonical(
     """Parse a canonical interchange file.
 
     Returns records in file order plus warnings for every dropped value.
-    Structural problems raise :class:`MalformedCsv` or :class:`DuplicateCell`;
-    bad CSV quoting anywhere in the file takes precedence over a bad row.
+    Structural problems raise :class:`MalformedCsv` or :class:`DuplicateCell`.
     """
-    reader = csv.reader(io.StringIO(_decode(source)), strict=True)
-    try:
-        try:
-            by_record = _canonical_rows(reader)
-        except (MalformedCsv, DuplicateCell):
-            for _ in reader:  # a CSV error further on wins
-                pass
-            raise
-    except csv.Error as exc:
-        raise MalformedCsv(reader.line_num, str(exc)) from exc
-
+    by_record = _read(source, _canonical_rows)
     warnings: list[str] = []
-    memo = _ValueMemo()
+    # Each distinct valid value is built once; an invalid one raises, and is
+    # reported, at each occurrence, as ``functools.cache`` stores no exceptions.
+    memo = functools.cache(FieldValue.from_lexical)
     records: list[RopaRecord] = []
     # (first line, record_id, concept_id) per cell whose value indexes do not
     # run from 0 without a gap; the one seen first in the file is raised.
@@ -333,7 +319,7 @@ def parse_canonical(
                     )
                     continue
                 try:
-                    values.append(memo[kind, value])
+                    values.append(memo(kind, value))
                 except ValueError as exc:
                     warnings.append(f"line {line}: {concept_id!r}: {exc}; value dropped")
             if schema.multiplicity is Multiplicity.ONE and len(values) > 1:
@@ -437,7 +423,7 @@ def import_template(
             columns.append(None)
         seen_headers.add(header)
 
-    memo = _ValueMemo()
+    memo = functools.cache(FieldValue.from_lexical)
     records: list[RopaRecord] = []
     code = config.jurisdiction.value.lower()
     for line, row in rows[1:]:
@@ -454,7 +440,7 @@ def import_template(
             values = []
             for item in _split_cell(cell) if many else [_unescape(cell)]:
                 try:
-                    values.append(memo[kind, item])
+                    values.append(memo(kind, item))
                 except ValueError as exc:
                     warnings.append(f"line {line}: {cid!r}: {exc}; value dropped")
             if values:

@@ -61,6 +61,13 @@ def test_stats_json(capsys):
     assert summary["complex"] == 3
 
 
+@pytest.mark.parametrize("golden, argv", [("stats.txt", []), ("stats.json", ["--json"])])
+def test_stats_matches_golden(capsys, golden, argv):
+    assert cli_main(["stats", *argv]) == 0
+    expected = (Path(__file__).parent / "golden" / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+
+
 def test_validate_empty_record_fails(capsys, empty_record_file):
     code = cli_main(["validate", "--input", str(empty_record_file), "--article30"])
     assert code == 1
@@ -140,6 +147,16 @@ def test_export_json_requires_out(capsys, mandatory_record_file):
     )
     assert code == 2
     assert "requires --out" in capsys.readouterr().err
+
+
+def test_import_json_requires_out(capsys, tmp_path):
+    template = tmp_path / "cy.csv"
+    template.write_text("A,B\n", encoding="utf-8")
+    code = cli_main(["import", "--input", str(template), "--template", "CY", "--json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "requires --out" in captured.err
 
 
 @pytest.mark.parametrize("flag, value", [("--base", "not an iri"), ("--ropaex", "x y")])

@@ -692,3 +692,11 @@ def _parse_error(parse, text, registry):
 def test_parse_error_precedence_matches_reference(registry, text, expected):
     assert _parse_error(parse_canonical, text, registry) == expected
     assert _parse_error(canonical_reference.parse_canonical, text, registry) == expected
+
+
+def test_import_bad_quoting_beats_earlier_header_mismatch(registry):
+    # none of the CY config's headers is present, and line 3 is badly quoted
+    config = default_config(registry, Jurisdiction.CY)
+    with pytest.raises(MalformedCsv) as excinfo:
+        import_template('A,B\n1,2\nx,"y"z\n', config, registry)
+    assert str(excinfo.value) == f"line 3: {BARE_QUOTE_ERROR}"
