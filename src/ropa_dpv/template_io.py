@@ -15,6 +15,9 @@ column count, duplicate cells) are hard errors, and a file raises only one:
 invalid UTF-8, else bad CSV quoting anywhere in the file, else the first bad
 row, else the first gap in a cell's value indexes.  All output is UTF-8 with
 LF endings and a trailing LF, and is byte-deterministic for equal inputs.
+A written field is quoted, with ``"`` doubled, when it holds ``,``, ``"`` or
+LF; a row with CR in any field has every field quoted, since a reader takes
+a bare CR for a line end; a row of one empty field is written ``""``.
 """
 
 from __future__ import annotations
@@ -187,23 +190,19 @@ def _read_csv(source: bytes | str) -> list[tuple[int, list[str]]]:
     return _read(source, lambda reader: [(reader.line_num, row) for row in reader])
 
 
-def _csv_text(rows: Sequence[Sequence[object]]) -> str:
-    """Rows as CSV with LF line ends.
+def _quote(field: str) -> str:
+    if "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
-    ``csv.writer`` leaves a field holding CR bare, which a reader takes for a
-    line end, so a row with such a field is written with every field quoted.
-    """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    text = out.getvalue()
-    if "\r" not in text:
-        return text
-    out = io.StringIO()
-    minimal = csv.writer(out, lineterminator="\n")
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for row in rows:
-        (quoted if any("\r" in str(field) for field in row) else minimal).writerow(row)
-    return out.getvalue()
+
+def _csv_line(fields: Sequence[str]) -> str:
+    """One CSV row with its LF, by the quoting rule of the module docstring."""
+    if any("\r" in field for field in fields):
+        return ",".join(['"' + f.replace('"', '""') + '"' for f in fields]) + "\n"
+    if len(fields) == 1 and not fields[0]:
+        return '""\n'  # a bare empty line would read as a row of no fields
+    return ",".join([_quote(f) for f in fields]) + "\n"
 
 
 # -- canonical interchange format ----------------------------------------------
@@ -362,6 +361,12 @@ def parse_canonical(
     return records, warnings
 
 
+def _last_fields(value: FieldValue | str) -> tuple[str, str]:
+    if isinstance(value, str):  # record metadata
+        return ValueKind.TEXT.value, value
+    return value.kind.value, value.lexical
+
+
 def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) -> str:
     """Serialize records to the canonical interchange format.
 
@@ -369,18 +374,27 @@ def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) ->
     in index order.  Record ids must be unique (the file format cannot
     represent two records with the same id).
     """
-    ids = [record.record_id for record in records]
-    if len(set(ids)) != len(ids):
+    if len({record.record_id for record in records}) != len(records):
         raise ValueError("duplicate record ids cannot be written to one file")
-    rows: list[Sequence[object]] = [CANONICAL_HEADER]
+    lines = [_csv_line(CANONICAL_HEADER)]
+    # Each distinct value's row tail, ``KIND,lexical`` and the LF, built once.
+    tails: dict[FieldValue | str, str] = {}
     for record in records:
-        rid = record.record_id
-        rows.append((rid, META_CONTROLLER_NAME, 0, ValueKind.TEXT.value, record.controller_name))
-        rows.append((rid, META_CREATED, 0, ValueKind.TEXT.value, record.created))
-        for cid in sorted(record.fields, key=registry.table_index):
-            for index, value in enumerate(record.fields[cid]):
-                rows.append((rid, cid, index, value.kind.value, value.lexical))
-    return _csv_text(rows)
+        rid, fields = record.record_id, record.fields
+        # Concept ids ([a-z0-9-]+, checked by the registry) and _meta: ids need no quoting.
+        head = "" if "\r" in rid else _quote(rid) + ","
+        cells = [(META_CONTROLLER_NAME, (record.controller_name,)),
+                 (META_CREATED, (record.created,))]
+        cells += [(cid, fields[cid]) for cid in sorted(fields, key=registry.table_index)]
+        for cid, values in cells:
+            prefix = f"{head}{cid},"
+            for index, value in enumerate(values):
+                tail = tails.get(value) or tails.setdefault(value, _csv_line(_last_fields(value)))
+                if head and "\r" not in tail:
+                    lines.append(f"{prefix}{index},{tail}")
+                else:
+                    lines.append(_csv_line((rid, cid, str(index), *_last_fields(value))))
+    return "".join(lines)
 
 
 # -- template-shaped files -------------------------------------------------------
@@ -484,7 +498,8 @@ def export_template(
         ";".join(_escape(v.lexical) for v in record.fields[cid]) if cid in emitted else ""
         for cid in config.concept_ids
     ]
-    return _csv_text([config.headers, data_row]), ConversionLossReport(tuple(lost), len(emitted))
+    text = _csv_line(config.headers) + _csv_line(data_row)
+    return text, ConversionLossReport(tuple(lost), len(emitted))
 
 
 def convert(

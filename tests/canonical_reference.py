@@ -10,6 +10,9 @@ the same exception with the same text, as this.
 
 from __future__ import annotations
 
+import csv
+import io
+
 from ropa_dpv import (
     DuplicateCell,
     FieldValue,
@@ -156,3 +159,53 @@ def parse_canonical(source, registry):
             created = FALLBACK_CREATED
         records.append(RopaRecord(record_id, controller_name, created, fields))
     return records, warnings
+
+
+# -- writing ---------------------------------------------------------------------
+#
+# The straightforward form of the package's writers: every row is built as a
+# tuple and written through ``csv.writer``, and a file with a CR anywhere is
+# written a second time, with every field of each row holding CR quoted.  The
+# package renders each distinct value's row tail once and writes the text
+# itself; ``write_canonical`` and ``export_template`` must give these bytes.
+
+
+def _csv_text(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    text = out.getvalue()
+    if "\r" not in text:
+        return text
+    out = io.StringIO()
+    minimal = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any("\r" in str(field) for field in row) else minimal).writerow(row)
+    return out.getvalue()
+
+
+def write_canonical(records, registry):
+    ids = [record.record_id for record in records]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate record ids cannot be written to one file")
+    rows = [CANONICAL_HEADER]
+    for record in records:
+        rid = record.record_id
+        rows.append((rid, META_CONTROLLER_NAME, 0, ValueKind.TEXT.value, record.controller_name))
+        rows.append((rid, META_CREATED, 0, ValueKind.TEXT.value, record.created))
+        for cid in sorted(record.fields, key=registry.table_index):
+            for index, value in enumerate(record.fields[cid]):
+                rows.append((rid, cid, index, value.kind.value, value.lexical))
+    return _csv_text(rows)
+
+
+def export_template_text(record, config):
+    """The text ``export_template`` writes: the header row and one data row,
+    with a cell left empty for each concept that is absent or lost."""
+    data_row = [
+        ";".join(v.lexical.replace(";", "\\;") for v in record.values(cid))
+        if not any(v.lexical.endswith("\\") for v in record.values(cid))
+        else ""
+        for cid in config.concept_ids
+    ]
+    return _csv_text([config.headers, data_row])

@@ -277,6 +277,35 @@ def test_write_quotes_carriage_return(registry):
     assert parse_canonical(text, registry) == ([record], [])
 
 
+def test_writers_write_nul_bare(registry, empty_record):
+    # NUL needs no quoting.  Python 3.10's csv.writer refused to write it;
+    # the package writes it bare on every version, as 3.11 to 3.13 do.
+    record = set_field(
+        empty_record._replace(controller_name="a\x00b"), registry, "processor",
+        [FieldValue(ValueKind.TEXT, "x\x00y"), FieldValue(ValueKind.TEXT, "\x00")],
+    )
+    assert write_canonical([record], registry) == HEADER + (
+        "pa-empty,_meta:controller_name,0,TEXT,a\x00b\n"
+        f"pa-empty,_meta:created,0,TEXT,{CREATED}\n"
+        "pa-empty,processor,0,TEXT,x\x00y\n"
+        "pa-empty,processor,1,TEXT,\x00\n"
+    )
+    config = make_config(Jurisdiction.BE, [("Pro\x00cessor", "processor")], registry)
+    text, loss = export_template(record, config, registry)
+    assert text == "Pro\x00cessor\nx\x00y;\x00\n"
+    assert loss.lost == ()
+
+
+def test_export_one_empty_cell_is_quoted(registry, empty_record):
+    # A bare empty line would read back as a row of no cells.
+    config = make_config(Jurisdiction.BE, [("Processor", "processor")], registry)
+    text, _ = export_template(empty_record, config, registry)
+    assert text == 'Processor\n""\n'
+    imported, warnings = import_template(text, config, registry)
+    assert warnings == []
+    assert len(imported) == 1 and imported[0].fields == {}
+
+
 def test_bytes_input_and_bad_utf8(registry):
     records, _ = parse_canonical((HEADER + META).encode("utf-8"), registry)
     assert records[0].record_id == "pa-1"
