@@ -382,7 +382,7 @@ def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) ->
     for record in records:
         rid, fields = record.record_id, record.fields
         # Concept ids ([a-z0-9-]+, checked by the registry) and _meta: ids need no quoting.
-        head = "" if "\r" in rid else _quote(rid) + ","
+        head, slow = _quote(rid) + ",", "\r" in rid
         cells = [(META_CONTROLLER_NAME, (record.controller_name,)),
                  (META_CREATED, (record.created,))]
         cells += [(cid, fields[cid]) for cid in sorted(fields, key=registry.table_index)]
@@ -390,7 +390,7 @@ def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) ->
             prefix = f"{head}{cid},"
             for index, value in enumerate(values):
                 tail = tails.get(value) or tails.setdefault(value, _csv_line(_last_fields(value)))
-                if head and "\r" not in tail:
+                if not slow and "\r" not in tail:
                     lines.append(f"{prefix}{index},{tail}")
                 else:
                     lines.append(_csv_line((rid, cid, str(index), *_last_fields(value))))
