@@ -14,6 +14,12 @@ DPV term is ``dpv:x`` or ``dpv:X`` gets the data predicate ``dpv:hasX``
 true.  These conventions stand in for real DPV property IRIs and are meant
 to be revisited if those differ.
 
+A graph holds its triples grouped by subject: each subject maps to a
+frozenset of (predicate, object) pairs.  Every usage node of a concept has
+the same rows, so the graph builder gives them one shared pair set, and the
+serializers render each distinct pair set once and add each subject's
+prefix to it.
+
 Both serializers are byte-deterministic for equal graphs:
 
 * Turtle lines are sorted by the N-Triples form of (subject, predicate,
@@ -37,6 +43,7 @@ import itertools
 import json
 import re
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
@@ -117,14 +124,22 @@ class _TripleItems(NamedTuple):
     object: Node
 
 
+def _check_subject(node: Node) -> None:
+    if node.kind is NodeKind.LITERAL:
+        raise ValueError("triple subjects cannot be literals")
+
+
+def _check_predicate(node: Node) -> None:
+    if node.kind is not NodeKind.IRI:
+        raise ValueError("triple predicates must be IRIs")
+
+
 class Triple(_TripleItems):
     __slots__ = ()
 
     def __new__(cls, subject: Node, predicate: Node, object: Node) -> "Triple":
-        if subject.kind is NodeKind.LITERAL:
-            raise ValueError("triple subjects cannot be literals")
-        if predicate.kind is not NodeKind.IRI:
-            raise ValueError("triple predicates must be IRIs")
+        _check_subject(subject)
+        _check_predicate(predicate)
         return tuple.__new__(cls, (subject, predicate, object))
 
     @classmethod
@@ -134,15 +149,47 @@ class Triple(_TripleItems):
 
 
 class TripleGraph:
-    """A duplicate-free set of triples plus a fixed namespace table."""
+    """A duplicate-free set of triples plus a fixed namespace table.
 
-    __slots__ = ("triples", "namespaces")
+    The triples are held grouped by subject, ``{subject: frozenset of
+    (predicate, object) pairs}`` with no empty set, so equal triple sets give
+    equal groupings, and ``==`` and ``hash`` compare those.  Subjects may
+    share one pair set.  ``triples`` is the frozenset of :class:`Triple`
+    built, and so checked, from the groups when it is first read, and kept.
+    """
+
+    __slots__ = ("_groups", "namespaces", "_triples")
 
     def __init__(
-        self, triples: frozenset[Triple], namespaces: tuple[tuple[str, str], ...]
+        self, triples: Iterable[Triple], namespaces: tuple[tuple[str, str], ...]
     ) -> None:
-        object.__setattr__(self, "triples", triples)
+        groups: dict[Node, set[tuple[Node, Node]]] = {}
+        for subject, predicate, obj in triples:
+            groups.setdefault(subject, set()).add((predicate, obj))
+        self._fill({s: frozenset(pairs) for s, pairs in groups.items()}, namespaces)
+
+    def _fill(self, groups: dict[Node, frozenset[tuple[Node, Node]]], namespaces) -> None:
+        """Set the fields, running ``Triple``'s checks once per subject and
+        once per distinct pair set."""
+        checked: set[int] = set()
+        for subject, pairs in groups.items():
+            _check_subject(subject)
+            if id(pairs) not in checked:
+                checked.add(id(pairs))
+                for predicate, _ in pairs:
+                    _check_predicate(predicate)
+        object.__setattr__(self, "_groups", groups)
         object.__setattr__(self, "namespaces", namespaces)
+        object.__setattr__(self, "_triples", None)
+
+    @property
+    def triples(self) -> frozenset[Triple]:
+        if self._triples is None:
+            triples = frozenset(
+                Triple(s, p, o) for s, pairs in self._groups.items() for p, o in pairs
+            )
+            object.__setattr__(self, "_triples", triples)
+        return self._triples
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -153,16 +200,16 @@ class TripleGraph:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.triples, self.namespaces) == (other.triples, other.namespaces)
+        return (self._groups, self.namespaces) == (other._groups, other.namespaces)
 
     def __hash__(self) -> int:
-        return hash((self.triples, self.namespaces))
+        return hash((frozenset(self._groups.items()), self.namespaces))
 
     def __repr__(self) -> str:
         return f"TripleGraph(triples={self.triples!r}, namespaces={self.namespaces!r})"
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return sum(map(len, self._groups.values()))
 
     def __iter__(self):
         return iter(self.triples)
@@ -194,11 +241,14 @@ _DATATYPES = {
 
 
 class _GraphBuilder:
-    """The triples of one graph.
+    """The triples of one graph, grouped by subject.
 
     Each distinct node is built, and so checked by ``Node.__new__``,
     once per graph: IRIs, literals, field values and each concept's
-    predicate and usage nodes are memoised, and equal nodes are shared.
+    predicate and usage rows are memoised, and equal nodes are shared.
+    Every usage node of a concept shares the concept's one usage pair set;
+    a record's own rows go into one set per record IRI, so repeated rows are
+    kept once and records with the same id are merged.
     """
 
     def __init__(self, registry: ConceptRegistry, base: str, ropaex: str) -> None:
@@ -210,6 +260,8 @@ class _GraphBuilder:
         self.literal = functools.cache(Node.literal)
         self._values: dict[tuple, Node] = {}
         self._concepts: dict[str, tuple] = {}
+        self.roots: dict[Node, set[tuple[Node, Node]]] = {}
+        self.usages: dict[Node, frozenset[tuple[Node, Node]]] = {}
 
     def value(self, value: FieldValue, vocabulary: str | None) -> Node:
         key = (value.kind, value.value, vocabulary)
@@ -227,11 +279,11 @@ class _GraphBuilder:
         return node
 
     def concept(self, cid: str) -> tuple:
-        """``(vocabulary, predicate, verb, usage rows)`` for a concept.
+        """``(vocabulary, predicate, verb, usage pairs)`` for a concept.
 
         ``verb`` is the ``ropaex:usesProcessing`` object of a processing-verb
-        concept, else None; the usage rows are the (predicate, object) pairs
-        of its usage node.
+        concept, else None; the usage pairs are the frozenset of
+        (predicate, object) pairs of each of its usage nodes.
         """
         plan = self._concepts.get(cid)
         if plan is None:
@@ -251,30 +303,36 @@ class _GraphBuilder:
                 (iri(ropaex + "mappingOutcome"), self.literal(descriptor.outcome.value, None)),
             ]
             usage += [(iri(ropaex + "alsoMapsTo"), iri(_expand(t, ropaex))) for t in terms[1:]]
-            plan = (descriptor.value_schema.vocabulary, iri(predicate), verb, usage)
+            plan = (descriptor.value_schema.vocabulary, iri(predicate), verb, frozenset(usage))
             self._concepts[cid] = plan
         return plan
 
-    def record_triples(self, record: RopaRecord) -> list[Triple]:
+    def add(self, record: RopaRecord) -> None:
         iri, ropaex = self.iri, self.ropaex
         root = iri(f"{self.base}/record/{record.record_id}")
-        rows = [
-            (root, iri(RDF_NS + "type"), iri(DPV_NS + "PersonalDataHandling")),
-            (root, iri(ropaex + "controllerName"), self.literal(record.controller_name, None)),
-            (root, iri(ropaex + "created"), self.literal(record.created, XSD_NS + "dateTime")),
-        ]
+        pairs = self.roots.setdefault(root, set())
+        pairs |= {
+            (iri(RDF_NS + "type"), iri(DPV_NS + "PersonalDataHandling")),
+            (iri(ropaex + "controllerName"), self.literal(record.controller_name, None)),
+            (iri(ropaex + "created"), self.literal(record.created, XSD_NS + "dateTime")),
+        }
         concept_usage = iri(ropaex + "conceptUsage")
         for cid in sorted(record.fields, key=self.registry.table_index):
-            vocabulary, predicate, verb, usage_rows = self.concept(cid)
+            vocabulary, predicate, verb, usage_pairs = self.concept(cid)
             values = record.fields[cid]
             if verb is None:
-                rows += [(root, predicate, self.value(v, vocabulary)) for v in values]
+                pairs.update([(predicate, self.value(v, vocabulary)) for v in values])
             elif any(v.value is True for v in values):
-                rows.append((root, predicate, verb))
+                pairs.add((predicate, verb))
             usage = Node.blank(f"c{next(self.labels)}")
-            rows.append((root, concept_usage, usage))
-            rows += [(usage, p, o) for p, o in usage_rows]
-        return [Triple(s, p, o) for s, p, o in rows]
+            pairs.add((concept_usage, usage))
+            self.usages[usage] = usage_pairs
+
+    def graph(self) -> TripleGraph:
+        groups = self.usages | {root: frozenset(pairs) for root, pairs in self.roots.items()}
+        graph = object.__new__(TripleGraph)
+        graph._fill(groups, namespace_table(self.ropaex))
+        return graph
 
 
 def to_graph(
@@ -301,10 +359,9 @@ def records_to_graph(
     order across the whole document, keeping output reproducible.
     """
     builder = _GraphBuilder(registry, base.rstrip("/"), ropaex)
-    triples: list[Triple] = []
     for record in records:
-        triples.extend(builder.record_triples(record))
-    return TripleGraph(frozenset(triples), namespace_table(ropaex))
+        builder.add(record)
+    return builder.graph()
 
 
 # -- serialization ---------------------------------------------------------------
@@ -326,12 +383,11 @@ def _compact(iri: str, namespaces: Sequence[tuple[str, str]]) -> str | None:
 
 
 def _term(node: Node, namespaces: Sequence[tuple[str, str]] = ()) -> str:
-    """The N-Triples form of ``node``, or with ``namespaces`` its Turtle form,
-    in which IRIs and datatypes are compacted to prefixed names where possible."""
+    """The N-Triples form of an IRI or literal ``node``, or with ``namespaces``
+    its Turtle form, in which IRIs and datatypes are compacted to prefixed
+    names where possible."""
     if node.kind is NodeKind.IRI:
         return _compact(node.value, namespaces) or f"<{node.value}>"
-    if node.kind is NodeKind.BLANK:
-        return f"_:{node.value}"
     rendered = f'"{node.value.translate(_ESCAPES)}"'
     if node.datatype:
         return rendered + "^^" + (_compact(node.datatype, namespaces) or f"<{node.datatype}>")
@@ -343,34 +399,49 @@ def _term(node: Node, namespaces: Sequence[tuple[str, str]] = ()) -> str:
 def serialize_turtle(graph: TripleGraph) -> str:
     """Valid Turtle: fixed prefix block, then one sorted triple per line."""
     ns = graph.namespaces
-    # id(node) -> (N-Triples form, Turtle form).  The graph keeps every node
-    # alive, so ids are not reused; equal nodes that are distinct objects are
-    # rendered once each, to the same text.
+    # id(node) -> (N-Triples form, Turtle form), and id(pair set) -> its
+    # sorted `` p o .`` rows.  The graph keeps every node and pair set alive,
+    # so ids are not reused; equal ones that are distinct objects are
+    # rendered once each, to the same text.  A blank node's two forms are
+    # both ``_:label``.
     forms: dict[int, tuple[str, str]] = {}
+    blocks: dict[int, list[str]] = {}
 
     def form(node: Node) -> tuple[str, str]:
-        pair = forms.get(id(node))
-        if pair is None:
-            pair = forms[id(node)] = (_term(node), _term(node, ns))
+        if node.kind is NodeKind.BLANK:
+            pair = (f"_:{node.value}",) * 2
+        else:
+            pair = (_term(node), _term(node, ns))
+        forms[id(node)] = pair
         return pair
 
-    # Equal N-Triples forms mean equal nodes, so the Turtle form after each
-    # never decides the order.
-    rows = sorted((*form(t.subject), *form(t.predicate), *form(t.object)) for t in graph.triples)
+    subjects = []
+    for subject, pairs in graph._groups.items():
+        block = blocks.get(id(pairs))
+        if block is None:
+            rows = []
+            for predicate, obj in pairs:
+                p = forms.get(id(predicate)) or form(predicate)
+                o = forms.get(id(obj)) or form(obj)
+                rows.append((p[0], o[0], f" {p[1]} {o[1]} ."))
+            # Equal N-Triples forms mean equal nodes, so the row text after
+            # them never decides the order.
+            rows.sort()
+            block = blocks[id(pairs)] = [row for _, _, row in rows]
+        subjects.append((*(forms.get(id(subject)) or form(subject)), block))
+    # Subjects are distinct, and so are their N-Triples forms: the sort never
+    # compares the rest of an item, and each subject's lines stay together.
+    subjects.sort(key=itemgetter(0))
     lines = [f"@prefix {prefix}: <{iri}> ." for prefix, iri in ns]
-    if rows:
+    if subjects:
         lines.append("")
-    lines += [f"{s} {p} {o} ." for _, s, _, p, _, o in rows]
+    lines += [s + ("\n" + s).join(block) for _, s, block in subjects]
     return "\n".join(lines) + "\n"
 
 
-def _node_ref(node: Node) -> str:
-    return f"_:{node.value}" if node.kind is NodeKind.BLANK else node.value
-
-
 def _jsonld_object(node: Node, namespaces) -> dict[str, str]:
-    if node.kind is not NodeKind.LITERAL:
-        return {"@id": _node_ref(node)}
+    if node.kind is NodeKind.IRI:
+        return {"@id": node.value}
     obj = {"@value": node.value}
     if node.datatype:
         obj["@type"] = _compact(node.datatype, namespaces) or node.datatype
@@ -393,7 +464,7 @@ def _members(items: Iterable[tuple[str, str]]) -> list[str]:
 
 
 def _jsonld_entry(node: Node, namespaces) -> tuple[str, str]:
-    """An object's sort text, ``json.dumps(obj, sort_keys=True,
+    """An IRI's or literal's sort text, ``json.dumps(obj, sort_keys=True,
     ensure_ascii=False)``, and its text as an item of an entry list."""
     obj = _jsonld_object(node, namespaces)
     sort_text = "{" + ", ".join(_members(sorted(obj.items()))) + "}"
@@ -404,48 +475,65 @@ def serialize_jsonld(graph: TripleGraph) -> str:
     """JSON-LD with a fixed ``@context``; nodes and keys fully sorted.
 
     The text is what ``json.dumps(document, indent=2, ensure_ascii=False)``
-    gives, written directly from entries rendered once per distinct object.
+    gives, written directly: each distinct pair set's members are rendered
+    once, each distinct object's entry once, and each subject adds its
+    ``"@id"`` member in its sorted place.
     """
     namespaces = graph.namespaces
     rdf_type = RDF_NS + "type"
-    nodes: dict[str, dict] = {}  # @id -> {key: @id or [(sort text, entry text)]}
-    by_subject: dict[int, dict] = {}  # id(subject) -> its JSON node
     keys: dict[str, str] = {}  # predicate IRI -> JSON key
     entries: dict[int, tuple[str, str]] = {}  # id(object) -> (sort text, entry text)
-    # Every list below is sorted before output, so triple order is irrelevant.
-    for t in graph.triples:
-        subject, obj = t.subject, t.object
-        node = by_subject.get(id(subject))
-        if node is None:
-            sid = _node_ref(subject)
-            node = by_subject[id(subject)] = nodes.setdefault(sid, {"@id": sid})
-        predicate = t.predicate.value
-        if predicate == rdf_type and obj.kind is NodeKind.IRI:
-            key = "@type"
-            text = _json(_compact(obj.value, namespaces) or obj.value)
-            entry = (text, text)
-        else:
-            key = keys.get(predicate)
-            if key is None:
-                key = keys[predicate] = _compact(predicate, namespaces) or predicate
-            entry = entries.get(id(obj))
-            if entry is None:
-                entry = entries[id(obj)] = _jsonld_entry(obj, namespaces)
-        node.setdefault(key, []).append(entry)
-    graph_nodes = []
-    for sid in sorted(nodes):
-        node = nodes[sid]
-        members = []
-        for key in sorted(node):
-            value = node[key]
-            if isinstance(value, str):
-                rendered = _json(value)
+    # id(pair set) -> the members before and after "@id", each with its separator.
+    blocks: dict[int, tuple[str, str]] = {}
+    sep = ",\n      "
+
+    def block(pairs: frozenset[tuple[Node, Node]]) -> tuple[str, str]:
+        by_key: dict[str, list[tuple[str, str]]] = {}
+        for predicate, obj in pairs:
+            if predicate.value == rdf_type and obj.kind is NodeKind.IRI:
+                key = "@type"
+                text = _json(_compact(obj.value, namespaces) or obj.value)
+                entry = (text, text)
             else:
-                rendered = _indented("[", [text for _, text in sorted(value)], "]", " " * 6)
-            members.append(f"{_json(key)}: {rendered}")
-        graph_nodes.append(_indented("{", members, "}", " " * 4))
+                key = keys.get(predicate.value)
+                if key is None:
+                    iri = predicate.value
+                    key = keys[iri] = _compact(iri, namespaces) or iri
+                if obj.kind is NodeKind.BLANK:
+                    entry = (
+                        f'{{"@id": "_:{obj.value}"}}',
+                        f'{{\n          "@id": "_:{obj.value}"\n        }}',
+                    )
+                else:
+                    entry = entries.get(id(obj))
+                    if entry is None:
+                        entry = entries[id(obj)] = _jsonld_entry(obj, namespaces)
+            by_key.setdefault(key, []).append(entry)
+        members = [
+            (key, f"{_json(key)}: " + _indented("[", [t for _, t in sorted(group)], "]", " " * 6))
+            for key, group in sorted(by_key.items())
+        ]
+        # No key equals "@id": predicate IRIs and prefixed names hold a colon.
+        return (
+            "".join(m + sep for key, m in members if key < "@id"),
+            "".join(sep + m for key, m in members if key > "@id"),
+        )
+
+    graph_nodes = []
+    for subject, pairs in graph._groups.items():
+        parts = blocks.get(id(pairs))
+        if parts is None:
+            parts = blocks[id(pairs)] = block(pairs)
+        if subject.kind is NodeKind.BLANK:
+            sid = f"_:{subject.value}"
+            id_member = f'"@id": "{sid}"'
+        else:
+            sid = subject.value
+            id_member = '"@id": ' + _json(sid)
+        graph_nodes.append((sid, "{\n      " + parts[0] + id_member + parts[1] + "\n    }"))
+    graph_nodes.sort(key=itemgetter(0))
     document = [
         '"@context": ' + _indented("{", _members(dict(namespaces).items()), "}", "  "),
-        '"@graph": ' + _indented("[", graph_nodes, "]", "  "),
+        '"@graph": ' + _indented("[", [text for _, text in graph_nodes], "]", "  "),
     ]
     return _indented("{", document, "}", "") + "\n"

@@ -18,7 +18,9 @@ values hash alike.  They are immutable: assigning an attribute raises
 ``AttributeError``.  :class:`FieldValue`, ``rdf_export.Node`` and
 ``rdf_export.Triple`` check their items whenever one is built, by ``_replace``
 too.  ``TripleGraph`` and ``ConceptRegistry`` are not tuples; each equals
-only an instance of its own class with equal fields.
+only an instance of its own class with equal fields.  A ``TripleGraph``
+holds its triples grouped by subject, and two graphs are equal when their
+groupings are, that is when their triple sets are.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ import csv
 import functools
 import io
 import re
+import sys
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -173,7 +174,17 @@ def _read(source: bytes | str, parse):
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedCsv(0, f"input is not valid UTF-8: {exc}") from exc
-    reader = csv.reader(io.StringIO(source), strict=True)
+    if sys.version_info < (3, 11) and "\0" in source:
+        # Python 3.10's csv.reader rejects a line holding NUL ("line contains
+        # NUL"): read the text with NUL swapped for a code point it does not
+        # hold, and swap it back in every field.  (Text holding every code
+        # point from U+E000 on keeps its NUL and is rejected as before.)
+        stand_in = next((chr(c) for c in range(0xE000, 0x110000) if chr(c) not in source), "\0")
+        reader = _NulRestored(
+            csv.reader(io.StringIO(source.replace("\0", stand_in)), strict=True), stand_in
+        )
+    else:
+        reader = csv.reader(io.StringIO(source), strict=True)
     try:
         try:
             return parse(reader)
@@ -183,6 +194,25 @@ def _read(source: bytes | str, parse):
             raise
     except csv.Error as exc:
         raise MalformedCsv(reader.line_num, str(exc)) from exc
+
+
+class _NulRestored:
+    """A ``csv.reader`` of text whose NULs were replaced by ``stand_in``:
+    its rows, with NUL put back in every field, and its line numbers."""
+
+    def __init__(self, reader, stand_in: str) -> None:
+        self._reader = reader
+        self._stand_in = stand_in
+
+    @property
+    def line_num(self) -> int:
+        return self._reader.line_num
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> list[str]:
+        return [field.replace(self._stand_in, "\0") for field in next(self._reader)]
 
 
 def _read_csv(source: bytes | str) -> list[tuple[int, list[str]]]:

@@ -7,6 +7,7 @@ from ropa_dpv import (
     Multiplicity,
     RopaRecord,
     ValueKind,
+    field_values,
     load_registry,
     new_record,
     set_field,
@@ -111,3 +112,49 @@ def mandatory_record(registry):
 def full_record(registry):
     record = new_record("pa-full", "Acme GmbH", CREATED)
     return populate(record, registry, [c.id for c in registry.concepts])
+
+
+# Control characters (escaped and not), quote, backslash, U+2028 and non-BMP.
+_AWKWARD = "\x00\x01\x08\x0c\x1f\x7f\r\"\\ \U0001F600"
+
+
+@pytest.fixture()
+def awkward_records(registry):
+    """Several records whose output depends on cross-record and escape rules.
+
+    Blank labels run past ``c9``, so label order and numbering differ; the
+    ``a\\x08``/``a\\x01`` pair sorts one way as N-Triples and the other way
+    as JSON text.
+    """
+
+    def build(record_id, controller, **fields):
+        record = new_record(record_id, controller, CREATED)
+        for cid, vals in fields.items():
+            cid = cid.replace("_", "-")
+            record = set_field(record, registry, cid, field_values(registry, cid, *vals))
+        return record
+
+    return [
+        build(
+            "pa-b", "Ctl " + _AWKWARD,
+            processor=["a\x08", "a\x01", _AWKWARD],
+            purposes_of_processing=["z last", "a first", "ü/é term"],
+            data_combination=[True],
+            data_categories_subject_to_transfer=["contact", "health-data"],
+        ),
+        build(
+            "pa-a", "Acme\r\n",
+            technical_and_organizational_measures_of_security=[
+                "tab\there", "\u2028line sep", "\U0001F512 lock", "bell\x07",
+            ],
+            retention_deletion_periods=["P5Y", "P1M"],
+            data_transfer=[False],
+            privacy_notice=["https://example.com/privacy?q=1"],
+        ),
+        build(
+            "pa-c", "\x7fdel",
+            legal_basis_for_processing=["consent", "contract"],
+            joint_controller=['"quoted"', "back\\slash"],
+            data_protection_impact_assessment=[True],
+        ),
+    ]

@@ -293,6 +293,20 @@ def test_stdout_is_utf8_under_an_ascii_locale(tmp_path, command):
     assert "Café GmbH".encode() in result.stdout
 
 
+@pytest.mark.parametrize("fmt, golden", [("turtle", "awkward.ttl"), ("jsonld", "awkward.jsonld")])
+def test_export_bytes_do_not_depend_on_the_hash_seed(tmp_path, awkward_records, fmt, golden):
+    # The exporter iterates dicts and sets, whose order follows the hash seed.
+    path = tmp_path / "awkward.csv"
+    path.write_text(write_canonical(awkward_records, REGISTRY), encoding="utf-8", newline="")
+    expected = (Path(__file__).parent / "golden" / golden).read_bytes()
+    for seed in ("0", "1"):
+        result = _run_module(
+            "export", "--input", str(path), "--format", fmt, PYTHONHASHSEED=seed
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == expected
+
+
 def test_stderr_is_utf8_under_an_ascii_locale(tmp_path):
     record = set_field(
         new_record("pa-1", "Café GmbH", CREATED), REGISTRY, "retention-deletion-periods",

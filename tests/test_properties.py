@@ -15,6 +15,8 @@ from ropa_dpv import (
     Multiplicity,
     RopaError,
     RopaRecord,
+    Triple,
+    TripleGraph,
     ValueKind,
     convert,
     default_config,
@@ -402,10 +404,38 @@ _IRI_OPTIONS = st.sampled_from([
     options=_IRI_OPTIONS,
 )
 def test_rdf_export_matches_reference_on_unicode_text(records, options):
+    graph = _assert_graph_matches_reference(records, options)
+    assert parse_turtle(serialize_turtle(graph)) == canonical_triples(graph)
+    assert parse_jsonld(serialize_jsonld(graph)) == canonical_triples(graph)
+
+
+@st.composite
+def overlapping_records(draw):
+    """Records that share ids, controller names and field values."""
+    text = st.sampled_from(["a", "a\x00", "\u2028b"])
+    records = draw(st.lists(ropa_records(text), max_size=4))
+    return [r._replace(record_id=draw(st.sampled_from(["pa-1", "pa-2"]))) for r in records]
+
+
+@_settings
+@given(records=overlapping_records(), options=_IRI_OPTIONS)
+def test_rdf_export_merges_records_with_the_same_id_as_reference(records, options):
+    _assert_graph_matches_reference(records, options)
+
+
+def _assert_graph_matches_reference(records, options):
+    """The graph of ``records``, and the same graph rebuilt from its triples,
+    equal the reference graph, hash and count alike, and serialize to the
+    reference bytes."""
     graph = records_to_graph(records, REGISTRY, **options)
-    assert graph == rdf_reference.records_to_graph(records, REGISTRY, **options)
-    turtle, jsonld = serialize_turtle(graph), serialize_jsonld(graph)
-    assert turtle == rdf_reference.serialize_turtle(graph)
-    assert jsonld == rdf_reference.serialize_jsonld(graph)
-    assert parse_turtle(turtle) == canonical_triples(graph)
-    assert parse_jsonld(jsonld) == canonical_triples(graph)
+    expected = rdf_reference.records_to_graph(records, REGISTRY, **options)
+    assert all(type(t) is Triple for t in graph.triples)
+    turtle = rdf_reference.serialize_turtle(expected)
+    jsonld = rdf_reference.serialize_jsonld(expected)
+    for built in (graph, TripleGraph(graph.triples, graph.namespaces)):
+        assert built == expected
+        assert hash(built) == hash(expected)
+        assert len(built) == len(expected.triples)
+        assert serialize_turtle(built) == turtle
+        assert serialize_jsonld(built) == jsonld
+    return graph
