@@ -208,6 +208,11 @@ class ConceptRegistry:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        # Pickle and copy rebuild through the constructor, as the default
+        # restore would assign the read-only fields.
+        return ConceptRegistry, (self.rows, self.profiles, self.vocabularies)
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -10,11 +10,13 @@ Two CSV shapes are handled here:
   with columns mapped to concepts by a :class:`TemplateProfileConfig`.
 
 Parsing is forgiving: schema violations become warnings and the offending
-value is dropped.  Structural failures (invalid UTF-8, bad quoting, wrong
-column count, duplicate cells) are hard errors, and a file raises only one:
-invalid UTF-8, else bad CSV quoting anywhere in the file, else the first bad
-row, else the first gap in a cell's value indexes.  All output is UTF-8 with
-LF endings and a trailing LF, and is byte-deterministic for equal inputs.
+value is dropped.  Structural failures (invalid UTF-8, bad quoting, a wrong
+header or column count, duplicate cells) are hard errors, and a file raises
+only one.  Invalid UTF-8 comes first; after that one rule holds for every
+reader: any error found while rows are read yields to a CSV error later in
+the file.  So bad quoting anywhere beats the first bad row, which beats the
+first gap in a canonical cell's value indexes.  All output is UTF-8 with LF
+endings and a trailing LF, and is byte-deterministic for equal inputs.
 A written field is quoted, with ``"`` doubled, when it holds ``,``, ``"`` or
 LF; a row with CR in any field has every field quoted, since a reader takes
 a bare CR for a line end; a row of one empty field is written ``""``.
@@ -26,11 +28,10 @@ import csv
 import functools
 import io
 import re
-import sys
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DuplicateCell, HeaderMismatch, MalformedCsv, UnknownConcept
+from .errors import DuplicateCell, HeaderMismatch, MalformedCsv, RopaError, UnknownConcept
 from .records import (
     _RECORD_ID_RE,
     FieldValue,
@@ -106,18 +107,24 @@ def load_config(
     source: bytes | str, jurisdiction: Jurisdiction, registry: ConceptRegistry
 ) -> TemplateProfileConfig:
     """Parse a ``external_header,concept_id`` CSV into a config."""
-    rows = _read_csv(source)
-    if not rows or tuple(rows[0][1]) != CONFIG_HEADER:
-        raise MalformedCsv(1, f"expected header {','.join(CONFIG_HEADER)}")
-    column_map = []
-    for line, row in rows[1:]:
-        if len(row) != 2:
-            raise MalformedCsv(line, f"expected 2 columns, got {len(row)}")
-        column_map.append((row[0], row[1]))
+    column_map = _read(source, _config_rows)
     try:
         return make_config(jurisdiction, column_map, registry)
     except (ValueError, UnknownConcept) as exc:
         raise MalformedCsv(0, str(exc)) from exc
+
+
+def _config_rows(reader) -> list[tuple[str, str]]:
+    """The column map of a config file.  Raises on the first bad row."""
+    header = next(reader, None)
+    if header is None or tuple(header) != CONFIG_HEADER:
+        raise MalformedCsv(1, f"expected header {','.join(CONFIG_HEADER)}")
+    column_map = []
+    for row in reader:
+        if len(row) != 2:
+            raise MalformedCsv(reader.line_num, f"expected 2 columns, got {len(row)}")
+        column_map.append((row[0], row[1]))
+    return column_map
 
 
 def default_config(
@@ -166,58 +173,26 @@ def _representable(values: Iterable[FieldValue]) -> bool:
 
 
 def _read(source: bytes | str, parse):
-    """``parse(reader)`` over a strict ``csv.reader`` of ``source``, with the
-    error precedence of the module docstring: a CSV error, even one after
-    the row that ``parse`` rejects, raises as :class:`MalformedCsv`."""
+    """``parse(reader)`` over a strict ``csv.reader`` of ``source``.
+
+    This owns the error precedence of the module docstring: when ``parse``
+    raises a :class:`RopaError`, the rest of the file is read, and a CSV
+    error found there raises instead, as :class:`MalformedCsv`."""
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedCsv(0, f"input is not valid UTF-8: {exc}") from exc
-    if sys.version_info < (3, 11) and "\0" in source:
-        # Python 3.10's csv.reader rejects a line holding NUL ("line contains
-        # NUL"): read the text with NUL swapped for a code point it does not
-        # hold, and swap it back in every field.  (Text holding every code
-        # point from U+E000 on keeps its NUL and is rejected as before.)
-        stand_in = next((chr(c) for c in range(0xE000, 0x110000) if chr(c) not in source), "\0")
-        reader = _NulRestored(
-            csv.reader(io.StringIO(source.replace("\0", stand_in)), strict=True), stand_in
-        )
-    else:
-        reader = csv.reader(io.StringIO(source), strict=True)
+    reader = csv.reader(io.StringIO(source), strict=True)
     try:
         try:
             return parse(reader)
-        except (MalformedCsv, DuplicateCell):
+        except RopaError:
             for _ in reader:  # a CSV error further on wins
                 pass
             raise
     except csv.Error as exc:
         raise MalformedCsv(reader.line_num, str(exc)) from exc
-
-
-class _NulRestored:
-    """A ``csv.reader`` of text whose NULs were replaced by ``stand_in``:
-    its rows, with NUL put back in every field, and its line numbers."""
-
-    def __init__(self, reader, stand_in: str) -> None:
-        self._reader = reader
-        self._stand_in = stand_in
-
-    @property
-    def line_num(self) -> int:
-        return self._reader.line_num
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> list[str]:
-        return [field.replace(self._stand_in, "\0") for field in next(self._reader)]
-
-
-def _read_csv(source: bytes | str) -> list[tuple[int, list[str]]]:
-    """CSV rows with their line numbers."""
-    return _read(source, lambda reader: [(reader.line_num, row) for row in reader])
 
 
 def _quote(field: str) -> str:
@@ -441,10 +416,16 @@ def import_template(
     :class:`HeaderMismatch` when more than half of the mapped headers are
     absent (the file is probably a different regulator's template).
     """
-    rows = _read_csv(source)
-    if not rows:
+    return _read(source, lambda reader: _template_rows(reader, config, registry))
+
+
+def _template_rows(
+    reader, config: TemplateProfileConfig, registry: ConceptRegistry
+) -> tuple[list[RopaRecord], list[str]]:
+    """:func:`import_template` over the rows of ``reader``."""
+    file_headers = next(reader, None)
+    if file_headers is None:
         raise MalformedCsv(1, "empty file")
-    file_headers = rows[0][1]
     by_header = dict(config.column_map)
     missing = [h for h, _ in config.column_map if h not in file_headers]
     if len(missing) * 2 > len(config.column_map):
@@ -470,7 +451,8 @@ def import_template(
     memo = functools.cache(FieldValue.from_lexical)
     records: list[RopaRecord] = []
     code = config.jurisdiction.value.lower()
-    for line, row in rows[1:]:
+    for row in reader:
+        line = reader.line_num
         if len(row) != len(file_headers):
             raise MalformedCsv(
                 line, f"expected {len(file_headers)} columns, got {len(row)}"

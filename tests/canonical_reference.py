@@ -29,12 +29,12 @@ from ropa_dpv.template_io import (
     FALLBACK_CREATED,
     META_CONTROLLER_NAME,
     META_CREATED,
-    _read_csv,
+    _read,
 )
 
 
 def parse_canonical(source, registry):
-    rows = _read_csv(source)
+    rows = _read(source, lambda reader: [(reader.line_num, row) for row in reader])
     if not rows or tuple(rows[0][1]) != CANONICAL_HEADER:
         raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
 

@@ -1,0 +1,120 @@
+"""Robustness: the CLI turns any input file into a report or an error.
+
+Valid files are mutated byte by byte: quotes, CRs, NULs, BOMs, invalid
+UTF-8 and Unicode line separators are inserted, bytes deleted, the file
+cut short.  ``cli_main`` must then exit 0, 1 or 2, with no exception
+escaping and an error message for every exit 2, and the canonical file
+written by an ``import`` that succeeds must read back without a warning.
+"""
+
+import contextlib
+import io
+import os
+import random
+import tempfile
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from ropa_dpv import (
+    Jurisdiction,
+    default_config,
+    export_template,
+    load_registry,
+    new_record,
+    parse_canonical,
+    write_canonical,
+)
+from ropa_dpv.cli import cli_main
+from conftest import CREATED, populate
+
+REGISTRY = load_registry()
+_UK = default_config(REGISTRY, Jurisdiction.UK)
+
+
+def _template(records) -> bytes:
+    """A UK template file with one data row per record."""
+    texts = [export_template(record, _UK, REGISTRY)[0] for record in records]
+    header = texts[0][: texts[0].index("\n") + 1]  # the headers hold no LF
+    return (header + "".join(text[len(header):] for text in texts)).encode("utf-8")
+
+
+_TEMPLATE = _template([
+    populate(new_record("pa-1", "Acme GmbH", CREATED), REGISTRY, _UK.concept_ids),
+    populate(
+        new_record("pa-2", "Acme GmbH", CREATED), REGISTRY, REGISTRY.mandatory_concepts(),
+        random.Random(2),
+    ),
+])
+_REGISTER = write_canonical(
+    [
+        populate(new_record("pa-1", "Acme GmbH", CREATED), REGISTRY,
+                 [c.id for c in REGISTRY.concepts]),
+        populate(new_record("pa-2", "Beta Ltd", CREATED), REGISTRY,
+                 REGISTRY.mandatory_concepts(), random.Random(2)),
+        new_record("pa-3", "Gamma SA", CREATED),
+    ],
+    REGISTRY,
+).encode("utf-8")
+
+#: Inserted bytes: a quote, CR, NUL, a BOM, a byte that is never UTF-8,
+#: U+2028 and U+0085 (which ``str.splitlines`` takes for line ends).
+_INSERTS = [b'"', b"\r", b"\0", "\ufeff".encode(), b"\xff", "\u2028".encode(),
+            "\u0085".encode()]
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
+        if edit == "insert":
+            data = data[:at] + draw(st.sampled_from(_INSERTS)) + data[at:]
+        elif edit == "delete":
+            data = data[:at] + data[at + 1:]
+        else:
+            data = data[:at]
+    return data
+
+
+def _run(argv) -> int:
+    """``cli_main(argv)``'s exit code, checked against the CLI contract."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "ropa: error: " in stderr.getvalue()
+    return code
+
+
+_settings = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_settings
+@given(data=_mutated(_TEMPLATE))
+def test_import_of_a_mutated_template_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
+        with open(source, "wb") as handle:
+            handle.write(data)
+        code = _run(["import", "--input", source, "--template", "UK", "--out", out])
+        assert code in (0, 2)
+        if code == 0:
+            with open(out, "rb") as handle:
+                written = handle.read().decode("utf-8")
+            records, warnings = parse_canonical(written, REGISTRY)
+            assert warnings == []
+            assert write_canonical(records, REGISTRY) == written
+
+
+@_settings
+@given(data=_mutated(_REGISTER))
+def test_validate_of_a_mutated_register_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = os.path.join(tmp, "in.csv")
+        with open(source, "wb") as handle:
+            handle.write(data)
+        _run(["validate", "--input", source, "--article30"])

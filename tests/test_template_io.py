@@ -17,6 +17,7 @@ from ropa_dpv import (
     MalformedCsv,
     RopaError,
     RopaRecord,
+    TemplateProfileConfig,
     ValueKind,
     convert,
     default_config,
@@ -278,8 +279,7 @@ def test_write_quotes_carriage_return(registry):
 
 
 def test_writers_write_nul_bare(registry, empty_record):
-    # NUL needs no quoting.  Python 3.10's csv.writer refused to write it;
-    # the package writes it bare on every version, as 3.11 to 3.13 do.
+    # NUL needs no quoting, and is written bare, as csv.writer writes it.
     record = set_field(
         empty_record._replace(controller_name="a\x00b"), registry, "processor",
         [FieldValue(ValueKind.TEXT, "x\x00y"), FieldValue(ValueKind.TEXT, "\x00")],
@@ -297,9 +297,8 @@ def test_writers_write_nul_bare(registry, empty_record):
 
 
 def test_text_with_nul_reads_back(registry, empty_record):
-    # Python 3.10's csv.reader rejects NUL; the readers take it on every
-    # version, with the same line numbers and error text.  U+E000 is in the
-    # text, so NUL must stand in as another code point on 3.10.
+    # NUL reads back like any other character, beside a private-use code
+    # point, and a bad row after it keeps its line number and error text.
     record = set_field(
         empty_record._replace(controller_name="a\x00b"), registry, "processor",
         [FieldValue(ValueKind.TEXT, "x\x00y"), FieldValue(ValueKind.TEXT, "\ue000\x00")],
@@ -749,3 +748,46 @@ def test_import_bad_quoting_beats_earlier_header_mismatch(registry):
     with pytest.raises(MalformedCsv) as excinfo:
         import_template('A,B\n1,2\nx,"y"z\n', config, registry)
     assert str(excinfo.value) == f"line 3: {BARE_QUOTE_ERROR}"
+
+
+_ONE_COLUMN = (("Purposes of processing", "purposes-of-processing"),)
+
+
+@pytest.mark.parametrize(
+    "read, text, line",
+    [
+        pytest.param(
+            lambda text, registry: import_template(
+                text, make_config(Jurisdiction.CY, _ONE_COLUMN, registry), registry
+            ),
+            'Purposes of processing\na,b\nc\nx,"y"z\n',
+            4,
+            id="import-wrong-column-count",
+        ),
+        pytest.param(
+            lambda text, registry: load_config(text, Jurisdiction.LU, registry),
+            'wrong,header\nx,y\nx,"y"z\n',
+            3,
+            id="config-wrong-header",
+        ),
+        pytest.param(
+            lambda text, registry: load_config(text, Jurisdiction.LU, registry),
+            'external_header,concept_id\na,b,c\nd,e\nx,"y"z\n',
+            4,
+            id="config-wrong-column-count",
+        ),
+        pytest.param(
+            # built directly, so make_config's check of the concept is skipped
+            lambda text, registry: import_template(
+                text, TemplateProfileConfig(Jurisdiction.CY, (("A", "no-such-concept"),)),
+                registry,
+            ),
+            'A\n1\nx,"y"z\n',
+            3,
+            id="import-unknown-concept",
+        ),
+    ],
+)
+def test_bad_quoting_beats_earlier_template_and_config_errors(registry, read, text, line):
+    expected = (MalformedCsv, f"line {line}: {BARE_QUOTE_ERROR}")
+    assert _parse_error(read, text, registry) == expected

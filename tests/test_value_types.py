@@ -97,10 +97,15 @@ def test_replace_checks_the_new_items():
     assert _TRIPLE._replace(object=_IRI) == (_IRI, _IRI, _IRI)
 
 
-@pytest.mark.parametrize("value", [_TEXT, _IRI, _TRIPLE])
+@pytest.mark.parametrize(
+    "value",
+    [_TEXT, _IRI, _TRIPLE, to_graph(new_record("pa-1", "Acme", CREATED), load_registry()),
+     load_registry()],
+)
 def test_copies_keep_class_and_items(value):
-    assert pickle.loads(pickle.dumps(value)) == value
-    assert type(copy.deepcopy(value)) is type(value)
+    for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(copied) is type(value)
+        assert copied == value
 
 
 def test_records_built_without_fields_share_no_writable_dict():
