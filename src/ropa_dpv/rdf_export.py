@@ -16,7 +16,7 @@ to be revisited if those differ.
 
 A graph holds its triples grouped by subject: each subject maps to a
 frozenset of (predicate, object) pairs.  Every usage node of a concept has
-the same rows, so the graph builder gives them one shared pair set, and the
+the same rows, so ``records_to_graph`` gives them one shared pair set, and the
 serializers render each distinct pair set once and add each subject's
 prefix to it.
 
@@ -156,21 +156,28 @@ class TripleGraph:
     equal groupings, and ``==`` and ``hash`` compare those.  Subjects may
     share one pair set.  ``triples`` is the frozenset of :class:`Triple`
     built, and so checked, from the groups when it is first read, and kept.
+
+    Every graph is made by ``_grouped``, the one place that checks subjects
+    and predicates and sets the fields: the constructor groups its triples
+    and passes them on, and ``records_to_graph`` passes its groups directly.
     """
 
     __slots__ = ("_groups", "namespaces", "_triples")
 
-    def __init__(
-        self, triples: Iterable[Triple], namespaces: tuple[tuple[str, str], ...]
-    ) -> None:
+    def __new__(
+        cls, triples: Iterable[Triple], namespaces: tuple[tuple[str, str], ...]
+    ) -> "TripleGraph":
         groups: dict[Node, set[tuple[Node, Node]]] = {}
         for subject, predicate, obj in triples:
             groups.setdefault(subject, set()).add((predicate, obj))
-        self._fill({s: frozenset(pairs) for s, pairs in groups.items()}, namespaces)
+        return cls._grouped({s: frozenset(pairs) for s, pairs in groups.items()}, namespaces)
 
-    def _fill(self, groups: dict[Node, frozenset[tuple[Node, Node]]], namespaces) -> None:
-        """Set the fields, running ``Triple``'s checks once per subject and
-        once per distinct pair set."""
+    @classmethod
+    def _grouped(
+        cls, groups: dict[Node, frozenset[tuple[Node, Node]]], namespaces
+    ) -> "TripleGraph":
+        """A graph holding ``groups``, after ``Triple``'s checks are run once
+        per subject and once per distinct pair set."""
         checked: set[int] = set()
         for subject, pairs in groups.items():
             _check_subject(subject)
@@ -178,9 +185,11 @@ class TripleGraph:
                 checked.add(id(pairs))
                 for predicate, _ in pairs:
                     _check_predicate(predicate)
-        object.__setattr__(self, "_groups", groups)
-        object.__setattr__(self, "namespaces", namespaces)
-        object.__setattr__(self, "_triples", None)
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "_groups", groups)
+        object.__setattr__(graph, "namespaces", namespaces)
+        object.__setattr__(graph, "_triples", None)
+        return graph
 
     @property
     def triples(self) -> frozenset[Triple]:
@@ -245,101 +254,6 @@ _DATATYPES = {
 }
 
 
-class _GraphBuilder:
-    """The triples of one graph, grouped by subject.
-
-    Each distinct node is built, and so checked by ``Node.__new__``,
-    once per graph: IRIs, literals, field values and each concept's
-    predicate and usage rows are memoised, and equal nodes are shared.
-    Every usage node of a concept shares the concept's one usage pair set;
-    a record's own rows go into one set per record IRI, so repeated rows are
-    kept once and records with the same id are merged.
-    """
-
-    def __init__(self, registry: ConceptRegistry, base: str, ropaex: str) -> None:
-        self.registry = registry
-        self.base = base
-        self.ropaex = ropaex
-        self.labels = itertools.count()
-        self.iri = functools.cache(Node.iri)
-        self.literal = functools.cache(Node.literal)
-        self._values: dict[tuple, Node] = {}
-        self._concepts: dict[str, tuple] = {}
-        self.roots: dict[Node, set[tuple[Node, Node]]] = {}
-        self.usages: dict[Node, frozenset[tuple[Node, Node]]] = {}
-
-    def value(self, value: FieldValue, vocabulary: str | None) -> Node:
-        key = (value.kind, value.value, vocabulary)
-        node = self._values.get(key)
-        if node is None:
-            kind = value.kind
-            if kind in (ValueKind.TERM, ValueKind.TERM_LIST):
-                local = quote(value.lexical, safe="")
-                node = self.iri(f"{self.base}/term/{vocabulary or 'term'}/{local}")
-            elif kind is ValueKind.URI:
-                node = self.iri(value.value)
-            else:
-                node = self.literal(value.lexical, _DATATYPES.get(kind))
-            self._values[key] = node
-        return node
-
-    def concept(self, cid: str) -> tuple:
-        """``(vocabulary, predicate, verb, usage pairs)`` for a concept.
-
-        ``verb`` is the ``ropaex:usesProcessing`` object of a processing-verb
-        concept, else None; the usage pairs are the frozenset of
-        (predicate, object) pairs of each of its usage nodes.
-        """
-        plan = self._concepts.get(cid)
-        if plan is None:
-            descriptor = self.registry.concept(cid)
-            terms, ropaex, iri = descriptor.dpv_terms, self.ropaex, self.iri
-            verb = None
-            if descriptor.outcome is MappingOutcome.NONE or not terms:
-                predicate = ropaex + _camel(cid)
-            elif terms[0] in PROCESSING_VERB_TERMS:
-                predicate = ropaex + "usesProcessing"
-                verb = iri(_expand(terms[0], ropaex))
-            else:
-                local = terms[0].split(":", 1)[1]
-                predicate = DPV_NS + "has" + local[:1].upper() + local[1:]
-            usage = [
-                (iri(ropaex + "concept"), self.literal(cid, None)),
-                (iri(ropaex + "mappingOutcome"), self.literal(descriptor.outcome.value, None)),
-            ]
-            usage += [(iri(ropaex + "alsoMapsTo"), iri(_expand(t, ropaex))) for t in terms[1:]]
-            plan = (descriptor.value_schema.vocabulary, iri(predicate), verb, frozenset(usage))
-            self._concepts[cid] = plan
-        return plan
-
-    def add(self, record: RopaRecord) -> None:
-        iri, ropaex = self.iri, self.ropaex
-        root = iri(f"{self.base}/record/{record.record_id}")
-        pairs = self.roots.setdefault(root, set())
-        pairs |= {
-            (iri(RDF_NS + "type"), iri(DPV_NS + "PersonalDataHandling")),
-            (iri(ropaex + "controllerName"), self.literal(record.controller_name, None)),
-            (iri(ropaex + "created"), self.literal(record.created, XSD_NS + "dateTime")),
-        }
-        concept_usage = iri(ropaex + "conceptUsage")
-        for cid in sorted(record.fields, key=self.registry.table_index):
-            vocabulary, predicate, verb, usage_pairs = self.concept(cid)
-            values = record.fields[cid]
-            if verb is None:
-                pairs.update([(predicate, self.value(v, vocabulary)) for v in values])
-            elif any(v.value is True for v in values):
-                pairs.add((predicate, verb))
-            usage = Node.blank(f"c{next(self.labels)}")
-            pairs.add((concept_usage, usage))
-            self.usages[usage] = usage_pairs
-
-    def graph(self) -> TripleGraph:
-        groups = self.usages | {root: frozenset(pairs) for root, pairs in self.roots.items()}
-        graph = object.__new__(TripleGraph)
-        graph._fill(groups, namespace_table(self.ropaex))
-        return graph
-
-
 def to_graph(
     record: RopaRecord,
     registry: ConceptRegistry,
@@ -362,11 +276,81 @@ def records_to_graph(
 
     Blank node labels (``_:c0``, ``_:c1``, ...) are assigned in emission
     order across the whole document, keeping output reproducible.
+
+    The triples are grouped by subject as they are made.  Each distinct node
+    is built, and so checked by ``Node.__new__``, once per graph: IRIs,
+    literals, field values and each concept's predicate and usage rows are
+    cached, and equal nodes are shared.  Every usage node of a concept shares
+    the concept's one usage pair set; a record's own rows go into one set per
+    record IRI, so repeated rows are kept once and records with the same id
+    are merged.
     """
-    builder = _GraphBuilder(registry, base.rstrip("/"), ropaex)
+    base = base.rstrip("/")
+    # Caches over local closures, not bound methods, leave no reference
+    # cycle: everything built here but the graph is freed on return.
+    iri = functools.cache(Node.iri)
+    literal = functools.cache(Node.literal)
+
+    @functools.cache
+    def value(v: FieldValue, vocabulary: str | None) -> Node:
+        kind = v.kind
+        if kind in (ValueKind.TERM, ValueKind.TERM_LIST):
+            local = quote(v.lexical, safe="")
+            return iri(f"{base}/term/{vocabulary or 'term'}/{local}")
+        if kind is ValueKind.URI:
+            return iri(v.value)
+        return literal(v.lexical, _DATATYPES.get(kind))
+
+    @functools.cache
+    def concept(cid: str) -> tuple:
+        """``(vocabulary, predicate, verb, usage pairs)`` for a concept.
+
+        ``verb`` is the ``ropaex:usesProcessing`` object of a processing-verb
+        concept, else None; the usage pairs are the frozenset of
+        (predicate, object) pairs of each of its usage nodes.
+        """
+        descriptor = registry.concept(cid)
+        terms = descriptor.dpv_terms
+        verb = None
+        if descriptor.outcome is MappingOutcome.NONE or not terms:
+            predicate = ropaex + _camel(cid)
+        elif terms[0] in PROCESSING_VERB_TERMS:
+            predicate = ropaex + "usesProcessing"
+            verb = iri(_expand(terms[0], ropaex))
+        else:
+            local = terms[0].split(":", 1)[1]
+            predicate = DPV_NS + "has" + local[:1].upper() + local[1:]
+        usage = [
+            (iri(ropaex + "concept"), literal(cid, None)),
+            (iri(ropaex + "mappingOutcome"), literal(descriptor.outcome.value, None)),
+        ]
+        usage += [(iri(ropaex + "alsoMapsTo"), iri(_expand(t, ropaex))) for t in terms[1:]]
+        return descriptor.value_schema.vocabulary, iri(predicate), verb, frozenset(usage)
+
+    labels = itertools.count()
+    roots: dict[Node, set[tuple[Node, Node]]] = {}
+    usages: dict[Node, frozenset[tuple[Node, Node]]] = {}
     for record in records:
-        builder.add(record)
-    return builder.graph()
+        root = iri(f"{base}/record/{record.record_id}")
+        pairs = roots.setdefault(root, set())
+        pairs |= {
+            (iri(RDF_NS + "type"), iri(DPV_NS + "PersonalDataHandling")),
+            (iri(ropaex + "controllerName"), literal(record.controller_name, None)),
+            (iri(ropaex + "created"), literal(record.created, XSD_NS + "dateTime")),
+        }
+        concept_usage = iri(ropaex + "conceptUsage")
+        for cid in sorted(record.fields, key=registry.table_index):
+            vocabulary, predicate, verb, usage_pairs = concept(cid)
+            values = record.fields[cid]
+            if verb is None:
+                pairs.update([(predicate, value(v, vocabulary)) for v in values])
+            elif any(v.value is True for v in values):
+                pairs.add((predicate, verb))
+            usage = Node.blank(f"c{next(labels)}")
+            pairs.add((concept_usage, usage))
+            usages[usage] = usage_pairs
+    groups = usages | {root: frozenset(pairs) for root, pairs in roots.items()}
+    return TripleGraph._grouped(groups, namespace_table(ropaex))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -444,17 +428,6 @@ def serialize_turtle(graph: TripleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonld_object(node: Node, namespaces) -> dict[str, str]:
-    if node.kind is NodeKind.IRI:
-        return {"@id": node.value}
-    obj = {"@value": node.value}
-    if node.datatype:
-        obj["@type"] = _compact(node.datatype, namespaces) or node.datatype
-    elif node.language:
-        obj["@language"] = node.language
-    return obj
-
-
 def _indented(open_: str, items: Sequence[str], close: str, pad: str) -> str:
     """The ``json.dumps(indent=2)`` layout of an array or object at
     indentation ``pad``, from its rendered items."""
@@ -464,16 +437,21 @@ def _indented(open_: str, items: Sequence[str], close: str, pad: str) -> str:
     return open_ + inner + ("," + inner).join(items) + "\n" + pad + close
 
 
-def _members(items: Iterable[tuple[str, str]]) -> list[str]:
-    return [f"{_json(k)}: {_json(v)}" for k, v in items]
-
-
 def _jsonld_entry(node: Node, namespaces) -> tuple[str, str]:
     """An IRI's or literal's sort text, ``json.dumps(obj, sort_keys=True,
     ensure_ascii=False)``, and its text as an item of an entry list."""
-    obj = _jsonld_object(node, namespaces)
-    sort_text = "{" + ", ".join(_members(sorted(obj.items()))) + "}"
-    return sort_text, _indented("{", _members(obj.items()), "}", " " * 8)
+    if node.kind is NodeKind.IRI:
+        members = ['"@id": ' + _json(node.value)]
+    else:
+        members = ['"@value": ' + _json(node.value)]
+        if node.datatype:
+            datatype = _compact(node.datatype, namespaces) or node.datatype
+            members.append('"@type": ' + _json(datatype))
+        elif node.language:
+            members.append('"@language": ' + _json(node.language))
+    # No two keys share the letter after "@", so the members sort as their keys do.
+    sort_text = "{" + ", ".join(sorted(members)) + "}"
+    return sort_text, _indented("{", members, "}", " " * 8)
 
 
 def serialize_jsonld(graph: TripleGraph) -> str:
@@ -537,8 +515,9 @@ def serialize_jsonld(graph: TripleGraph) -> str:
             id_member = '"@id": ' + _json(sid)
         graph_nodes.append((sid, "{\n      " + parts[0] + id_member + parts[1] + "\n    }"))
     graph_nodes.sort(key=itemgetter(0))
+    context = [f"{_json(prefix)}: {_json(iri)}" for prefix, iri in dict(namespaces).items()]
     document = [
-        '"@context": ' + _indented("{", _members(dict(namespaces).items()), "}", "  "),
+        '"@context": ' + _indented("{", context, "}", "  "),
         '"@graph": ' + _indented("[", [text for _, text in graph_nodes], "]", "  "),
     ]
     return _indented("{", document, "}", "") + "\n"

@@ -217,6 +217,11 @@ class RopaRecord(NamedTuple):
     def populated(self) -> frozenset[str]:
         return frozenset(self.fields)
 
+    def __reduce__(self):
+        # Pickle and copy rebuild through the constructor with a plain dict:
+        # the default ``fields`` is a mappingproxy, which cannot be pickled.
+        return RopaRecord, (self.record_id, self.controller_name, self.created, dict(self.fields))
+
 
 def new_record(record_id: str, controller_name: str, created: str) -> RopaRecord:
     """Create an empty record.

@@ -1,5 +1,7 @@
 """Graph construction and deterministic Turtle/JSON-LD serialization."""
 
+import gc
+import random
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -24,7 +26,7 @@ from ropa_dpv import (
     to_graph,
 )
 from ropa_dpv.rdf_export import RDF_NS, XSD_NS
-from conftest import CREATED
+from conftest import CREATED, populate
 from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -252,6 +254,12 @@ def test_node_and_triple_validation():
         Triple(lit, iri, lit)
     with pytest.raises(ValueError):
         Triple(iri, lit, lit)
+    # The graph runs the same checks on plain 3-tuples.
+    namespaces = empty_graph().namespaces
+    with pytest.raises(ValueError, match="triple subjects cannot be literals"):
+        TripleGraph([(lit, iri, lit)], namespaces)
+    with pytest.raises(ValueError, match="triple predicates must be IRIs"):
+        TripleGraph([(iri, lit, lit)], namespaces)
 
 
 def test_graph_is_duplicate_free(registry):
@@ -263,6 +271,26 @@ def test_graph_is_duplicate_free(registry):
     graph = to_graph(record, registry)
     assert isinstance(graph, TripleGraph)
     assert len(set(graph.triples)) == len(graph.triples)
+
+
+def test_export_leaves_no_cyclic_garbage(registry):
+    # Whatever export builds besides its result is freed by reference
+    # counting; a reference cycle would wait for the collector.
+    records = [
+        populate(new_record(f"pa-{i}", "Acme GmbH", CREATED), registry,
+                 [c.id for c in registry.concepts], random.Random(i))
+        for i in range(3)
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        graph = records_to_graph(records, registry)
+        serialize_turtle(graph)
+        serialize_jsonld(graph)
+        del graph
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_literal_escaping_survives_reparse(registry):

@@ -3,8 +3,10 @@
 Valid files are mutated byte by byte: quotes, CRs, NULs, BOMs, invalid
 UTF-8 and Unicode line separators are inserted, bytes deleted, the file
 cut short.  ``cli_main`` must then exit 0, 1 or 2, with no exception
-escaping and an error message for every exit 2, and the canonical file
-written by an ``import`` that succeeds must read back without a warning.
+escaping and an error message for every exit 2, the canonical file
+written by an ``import`` or ``convert`` that succeeds must read back
+without a warning, and the RDF written by an ``export`` that succeeds must
+parse, under the independent oracle, to the graph of the records read.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import random
 import tempfile
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from ropa_dpv import (
@@ -23,10 +26,12 @@ from ropa_dpv import (
     load_registry,
     new_record,
     parse_canonical,
+    records_to_graph,
     write_canonical,
 )
 from ropa_dpv.cli import cli_main
 from conftest import CREATED, populate
+from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
 
 REGISTRY = load_registry()
 _UK = default_config(REGISTRY, Jurisdiction.UK)
@@ -77,15 +82,26 @@ def _mutated(draw, data: bytes) -> bytes:
     return data
 
 
-def _run(argv) -> int:
-    """``cli_main(argv)``'s exit code, checked against the CLI contract."""
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+def _run(argv) -> tuple[int, str]:
+    """``cli_main(argv)``'s exit code, checked against the CLI contract, and
+    its standard output."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli_main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert "ropa: error: " in stderr.getvalue()
-    return code
+    return code, stdout.getvalue()
+
+
+def _assert_reads_back(path: str) -> None:
+    """The canonical file at ``path`` reads back without a warning, and
+    writes back to the same text."""
+    with open(path, "rb") as handle:
+        written = handle.read().decode("utf-8")
+    records, warnings = parse_canonical(written, REGISTRY)
+    assert warnings == []
+    assert write_canonical(records, REGISTRY) == written
 
 
 _settings = settings(
@@ -100,14 +116,10 @@ def test_import_of_a_mutated_template_exits_cleanly(data):
         source, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
         with open(source, "wb") as handle:
             handle.write(data)
-        code = _run(["import", "--input", source, "--template", "UK", "--out", out])
+        code, _ = _run(["import", "--input", source, "--template", "UK", "--out", out])
         assert code in (0, 2)
         if code == 0:
-            with open(out, "rb") as handle:
-                written = handle.read().decode("utf-8")
-            records, warnings = parse_canonical(written, REGISTRY)
-            assert warnings == []
-            assert write_canonical(records, REGISTRY) == written
+            _assert_reads_back(out)
 
 
 @_settings
@@ -118,3 +130,33 @@ def test_validate_of_a_mutated_register_exits_cleanly(data):
         with open(source, "wb") as handle:
             handle.write(data)
         _run(["validate", "--input", source, "--article30"])
+
+
+#: Commands on the register; "OUT" stands for an output path.
+_REGISTER_COMMANDS = {
+    "convert": ["convert", "--from", "UK", "--to", "CY", "--out", "OUT"],
+    "export-turtle": ["export", "--format", "turtle"],
+    "export-jsonld": ["export", "--format", "jsonld", "--out", "OUT"],
+    "query": ["query", "--rule", "JURISDICTION_READINESS"],
+}
+
+
+@pytest.mark.parametrize("name", list(_REGISTER_COMMANDS))
+@_settings
+@given(data=_mutated(_REGISTER))
+def test_commands_on_a_mutated_register_exit_cleanly(name, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        source, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out")
+        with open(source, "wb") as handle:
+            handle.write(data)
+        argv = [out if arg == "OUT" else arg for arg in _REGISTER_COMMANDS[name]]
+        code, stdout = _run([argv[0], "--input", source, *argv[1:]])
+        if code == 0 and name == "convert":
+            _assert_reads_back(out)
+        elif code == 0 and name.startswith("export"):
+            if name == "export-jsonld":
+                with open(out, "rb") as handle:
+                    stdout = handle.read().decode("utf-8")
+            parse = parse_turtle if name == "export-turtle" else parse_jsonld
+            records, _ = parse_canonical(data, REGISTRY)
+            assert parse(stdout) == canonical_triples(records_to_graph(records, REGISTRY))

@@ -100,7 +100,8 @@ def test_replace_checks_the_new_items():
 @pytest.mark.parametrize(
     "value",
     [_TEXT, _IRI, _TRIPLE, to_graph(new_record("pa-1", "Acme", CREATED), load_registry()),
-     load_registry()],
+     load_registry(), RopaRecord("pa-1", "Acme", CREATED),
+     RopaRecord("pa-2", "Acme", CREATED, {"purposes-of-processing": (_TEXT,)})],
 )
 def test_copies_keep_class_and_items(value):
     for copied in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
