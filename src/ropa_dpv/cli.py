@@ -18,7 +18,6 @@ machine-readable envelope with identical finding/hit content.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Sequence
 
@@ -28,6 +27,8 @@ from .queries import QueryRule, RuleId, run_query
 from .rdf_export import (
     DEFAULT_BASE,
     DEFAULT_ROPAEX_NS,
+    _indented,
+    _json,
     records_to_graph,
     serialize_jsonld,
     serialize_turtle,
@@ -131,6 +132,43 @@ def _write_file(path: str | None, text: str) -> None:
             handle.write(text)
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` of dicts with str
+    keys, lists, str, int, bool and None, written directly.
+
+    Each distinct dict or list is rendered once per indentation: the memo is
+    keyed by its id, which ``value`` keeps alive until the text is done.
+    """
+    memo: dict[tuple[int, str], str] = {}
+
+    def text(value, pad: str) -> str:
+        if isinstance(value, str):
+            return _json(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        key = (id(value), pad)
+        done = memo.get(key)
+        if done is None:
+            inner = pad + "  "
+            if isinstance(value, dict):
+                items = [f"{_json(k)}: {text(v, inner)}" for k, v in value.items()]
+                done = _indented("{", items, "}", pad)
+            elif isinstance(value, (list, tuple)):
+                done = _indented("[", [text(v, inner) for v in value], "]", pad)
+            else:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            memo[key] = done
+        return done
+
+    return text(value, "")
+
+
 def _emit_json(command: str, results: list) -> None:
     envelope = {
         "tool": "ropa",
@@ -138,12 +176,17 @@ def _emit_json(command: str, results: list) -> None:
         "command": command,
         "results": results,
     }
-    print(json.dumps(envelope, indent=2, ensure_ascii=False))
+    sys.stdout.write(_json_text(envelope) + "\n")
+
+
+def _print_lines(lines: list[str], file=None) -> None:
+    """``print`` each line to ``file`` (default stdout), in one write."""
+    if lines:
+        (file or sys.stdout).write("\n".join(lines) + "\n")
 
 
 def _print_warnings(warnings: list[str]) -> None:
-    for warning in warnings:
-        print(f"ropa: warning: {warning}", file=sys.stderr)
+    _print_lines([f"ropa: warning: {warning}" for warning in warnings], sys.stderr)
 
 
 def _load_canonical(args):
@@ -209,35 +252,43 @@ def _cmd_validate(args) -> int:
         else:
             report = validate_against_profile(record, profile, registry)
         results.append((record, report))
+    # Findings repeat across records: each distinct one is rendered once.
+    distinct = {f for _, report in results for f in report.findings}
     if args.json:
+        as_dict = {
+            f: {
+                "concept": f.concept,
+                "severity": f.severity.value,
+                "code": f.code.value,
+                "message": f.message,
+            }
+            for f in distinct
+        }
         _emit_json(
             "validate",
             [
                 {
                     "record_id": record.record_id,
                     "compliant": report.compliant,
-                    "findings": [
-                        {
-                            "concept": f.concept,
-                            "severity": f.severity.value,
-                            "code": f.code.value,
-                            "message": f.message,
-                        }
-                        for f in report.findings
-                    ],
+                    "findings": [as_dict[f] for f in report.findings],
                 }
                 for record, report in results
             ],
         )
     else:
+        as_line = {
+            f: f"  {f.severity.value:<7} {f.code.value:<22} {f.concept}: {f.message}"
+            for f in distinct
+        }
+        lines = []
         for record, report in results:
             status = "COMPLIANT" if report.compliant else "NOT COMPLIANT"
-            print(
+            lines.append(
                 f"record {record.record_id}: {status} "
                 f"({report.error_count} error(s), {report.warning_count} warning(s))"
             )
-            for f in report.findings:
-                print(f"  {f.severity.value:<7} {f.code.value:<22} {f.concept}: {f.message}")
+            lines += [as_line[f] for f in report.findings]
+        _print_lines(lines)
     return 0 if all(report.compliant for _, report in results) else 1
 
 
@@ -267,13 +318,14 @@ def _cmd_convert(args) -> int:
             ],
         )
     else:
+        lines = []
         for record_id, loss in results:
-            print(
+            lines.append(
                 f"record {record_id}: retained {loss.retained_count} concept(s), "
                 f"lost {len(loss.lost)}"
             )
-            for cid, reason in loss.lost:
-                print(f"  lost {cid} ({reason.value})")
+            lines += [f"  lost {cid} ({reason.value})" for cid, reason in loss.lost]
+        _print_lines(lines)
     return 0
 
 
@@ -319,11 +371,10 @@ def _cmd_query(args) -> int:
                 for record_id, detail in result.hits
             ],
         )
+    elif not result.hits:
+        print(f"{result.rule.value}: no hits")
     else:
-        if not result.hits:
-            print(f"{result.rule.value}: no hits")
-        for record_id, detail in result.hits:
-            print(f"{record_id}: {detail}")
+        _print_lines([f"{record_id}: {detail}" for record_id, detail in result.hits])
     return 1 if result.hits else 0
 
 

@@ -159,7 +159,8 @@ class TripleGraph:
 
     Every graph is made by ``_grouped``, the one place that checks subjects
     and predicates and sets the fields: the constructor groups its triples
-    and passes them on, and ``records_to_graph`` passes its groups directly.
+    and passes them on, and ``records_to_graph``, pickle and copy pass their
+    groups directly.
     """
 
     __slots__ = ("_groups", "namespaces", "_triples")
@@ -207,9 +208,10 @@ class TripleGraph:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # Pickle and copy rebuild through the constructor, as the default
-        # restore would assign the read-only fields.
-        return TripleGraph, (self.triples, self.namespaces)
+        # Pickle and copy rebuild through ``_grouped``, as the default restore
+        # would assign the read-only fields; the groups keep their shared
+        # pair sets.
+        return TripleGraph._grouped, (self._groups, self.namespaces)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

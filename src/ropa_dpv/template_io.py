@@ -215,26 +215,31 @@ def _csv_line(fields: Sequence[str]) -> str:
 _KINDS: dict[str, ValueKind] = {kind.value: kind for kind in ValueKind}
 
 
-def _canonical_rows(reader) -> dict[str, dict[tuple[str, int], tuple[int, str, str]]]:
-    """record_id -> {(concept_id, value_index): (line, kind_tag, value)}, in file
-    order.  Raises on the first bad row.
+def _canonical_rows(reader) -> dict[str, dict[str, tuple | dict]]:
+    """record_id -> {concept_id: cell}, both in file order.  Raises on the
+    first bad row.
 
-    One dict per record, not one per cell: containers that live until the
-    whole file is read are rescanned by every full garbage collection.
+    A cell is the tuple of its ``(line, kind_tag, value)`` entries while its
+    value indexes arrive as 0, 1, 2, ..., as in every file that
+    :func:`write_canonical` writes.  The first index out of that order turns
+    it into a ``{value_index: entry}`` map, in order of first appearance.
+    A tuple, not a list: the garbage collector stops tracking a tuple of
+    untracked items, so full collections do not rescan every cell while the
+    rest of the file is read.
     """
     header = next(reader, None)
     if header is None or tuple(header) != CANONICAL_HEADER:
         raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
-    by_record: dict[str, dict[tuple[str, int], tuple[int, str, str]]] = {}
+    by_record: dict[str, dict[str, tuple | dict]] = {}
     for row in reader:
         if len(row) != 5:
             raise MalformedCsv(reader.line_num, f"expected 5 columns, got {len(row)}")
         record_id, concept_id, index_cell, kind_tag, value = row
-        record_rows = by_record.get(record_id)
-        if record_rows is None:
+        cells = by_record.get(record_id)
+        if cells is None:
             if not _RECORD_ID_RE.fullmatch(record_id):
                 raise MalformedCsv(reader.line_num, f"invalid record id {record_id!r}")
-            record_rows = by_record[record_id] = {}
+            cells = by_record[record_id] = {}
         try:
             value_index = int(index_cell)
         except ValueError:
@@ -243,11 +248,40 @@ def _canonical_rows(reader) -> dict[str, dict[tuple[str, int], tuple[int, str, s
             ) from None
         if value_index < 0:
             raise MalformedCsv(reader.line_num, f"negative value_index {value_index}")
-        key = (concept_id, value_index)
-        if key in record_rows:
+        entry = (reader.line_num, kind_tag, value)
+        cell = cells.get(concept_id)
+        if cell is None:
+            cells[concept_id] = (entry,) if value_index == 0 else {value_index: entry}
+        elif cell.__class__ is tuple:
+            if value_index == len(cell):
+                cells[concept_id] = cell + (entry,)
+            elif value_index < len(cell):
+                raise DuplicateCell(record_id, concept_id, value_index)
+            else:
+                cell = cells[concept_id] = dict(enumerate(cell))
+                cell[value_index] = entry
+        elif value_index in cell:
             raise DuplicateCell(record_id, concept_id, value_index)
-        record_rows[key] = (reader.line_num, kind_tag, value)
+        else:
+            cell[value_index] = entry
     return by_record
+
+
+def _concept_plan(
+    concept_id: str, registry: ConceptRegistry
+) -> tuple[ValueKind, bool] | str | None:
+    """What :func:`parse_canonical` makes of a cell of ``concept_id``: None
+    for record metadata, the warning (after its line) for a cell it ignores,
+    else the concept's value kind and whether it holds a single value."""
+    if concept_id in (META_CONTROLLER_NAME, META_CREATED):
+        return None
+    if concept_id.startswith("_meta:"):
+        return f"unknown metadata row {concept_id!r} ignored"
+    try:
+        schema = registry.concept(concept_id).value_schema
+    except UnknownConcept:
+        return f"unknown concept {concept_id!r}; values dropped"
+    return schema.kind, schema.multiplicity is Multiplicity.ONE
 
 
 def parse_canonical(
@@ -259,32 +293,36 @@ def parse_canonical(
     Structural problems raise :class:`MalformedCsv` or :class:`DuplicateCell`.
     """
     by_record = _read(source, _canonical_rows)
+    from_lexical = FieldValue.from_lexical
     warnings: list[str] = []
-    # Each distinct valid value is built once; an invalid one raises, and is
-    # reported, at each occurrence, as ``functools.cache`` stores no exceptions.
-    memo = functools.cache(FieldValue.from_lexical)
+    # Per call: each concept's plan; per (concept_id, kind_tag, value), its
+    # FieldValue or the warning (after its line) for a wrong kind; and each
+    # valid value by (kind, value), shared across concepts.  A value that
+    # ``from_lexical`` rejects is kept in none of them, so it is built, and
+    # reported, at each occurrence.
+    plans: dict[str, tuple[ValueKind, bool] | str | None] = {}
+    resolved: dict[tuple[str, str, str], FieldValue | str] = {}
+    built: dict[tuple[ValueKind, str], FieldValue] = {}
     records: list[RopaRecord] = []
     # (first line, record_id, concept_id) per cell whose value indexes do not
     # run from 0 without a gap; the one seen first in the file is raised.
     gaps: list[tuple[int, str, str]] = []
-    for record_id, record_rows in by_record.items():
+    for record_id, cells in by_record.items():
         controller_name = None
         created = None
         fields: dict[str, tuple[FieldValue, ...]] = {}
-        cells: dict[str, dict[int, tuple[int, str, str]]] = {}
-        for (concept_id, value_index), entry in record_rows.items():
-            cell = cells.get(concept_id)
-            if cell is None:
-                cells[concept_id] = {value_index: entry}
-            else:
-                cell[value_index] = entry
-        for concept_id, cell in cells.items():
+        for concept_id, entries in cells.items():
+            if entries.__class__ is dict:
+                try:
+                    entries = [entries[i] for i in range(len(entries))]
+                except KeyError:
+                    gaps.append((next(iter(entries.values()))[0], record_id, concept_id))
+                    continue
             try:
-                entries = [cell[i] for i in range(len(cell))]
+                plan = plans[concept_id]
             except KeyError:
-                gaps.append((next(iter(cell.values()))[0], record_id, concept_id))
-                continue
-            if concept_id in (META_CONTROLLER_NAME, META_CREATED):
+                plan = plans[concept_id] = _concept_plan(concept_id, registry)
+            if plan is None:
                 if len(entries) > 1:
                     warnings.append(
                         f"line {entries[1][0]}: extra {concept_id} value(s) ignored"
@@ -294,39 +332,42 @@ def parse_canonical(
                 else:
                     created = entries[0][2]
                 continue
-            if concept_id.startswith("_meta:"):
-                warnings.append(
-                    f"line {entries[0][0]}: unknown metadata row {concept_id!r} ignored"
-                )
+            if plan.__class__ is str:
+                warnings.append(f"line {entries[0][0]}: {plan}")
                 continue
-            try:
-                descriptor = registry.concept(concept_id)
-            except UnknownConcept:
-                warnings.append(
-                    f"line {entries[0][0]}: unknown concept {concept_id!r}; values dropped"
-                )
-                continue
-            schema = descriptor.value_schema
+            kind, single = plan
             values: list[FieldValue] = []
             for line, kind_tag, value in entries:
-                kind = _KINDS.get(kind_tag)
-                if kind is None:
-                    warnings.append(
-                        f"line {line}: unknown value kind {kind_tag!r} for "
-                        f"{concept_id!r}; value dropped"
-                    )
-                    continue
-                if kind is not schema.kind:
-                    warnings.append(
-                        f"line {line}: {concept_id!r} expects {schema.kind.value}, "
-                        f"got {kind.value}; value dropped"
-                    )
-                    continue
-                try:
-                    values.append(memo(kind, value))
-                except ValueError as exc:
-                    warnings.append(f"line {line}: {concept_id!r}: {exc}; value dropped")
-            if schema.multiplicity is Multiplicity.ONE and len(values) > 1:
+                key = (concept_id, kind_tag, value)
+                got = resolved.get(key)
+                if got is None:
+                    tag_kind = _KINDS.get(kind_tag)
+                    if tag_kind is None:
+                        got = (
+                            f"unknown value kind {kind_tag!r} for {concept_id!r}; "
+                            "value dropped"
+                        )
+                    elif tag_kind is not kind:
+                        got = (
+                            f"{concept_id!r} expects {kind.value}, got {tag_kind.value}; "
+                            "value dropped"
+                        )
+                    else:
+                        got = built.get((kind, value))
+                        if got is None:
+                            try:
+                                got = built[kind, value] = from_lexical(kind, value)
+                            except ValueError as exc:
+                                warnings.append(
+                                    f"line {line}: {concept_id!r}: {exc}; value dropped"
+                                )
+                                continue
+                    resolved[key] = got
+                if got.__class__ is str:
+                    warnings.append(f"line {line}: {got}")
+                else:
+                    values.append(got)
+            if single and len(values) > 1:
                 warnings.append(
                     f"line {entries[0][0]}: {concept_id!r} holds a single value; "
                     f"{len(values) - 1} extra value(s) dropped"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from ropa_dpv import (
     write_canonical,
 )
 from ropa_dpv.cli import cli_main
-from conftest import CREATED, populate
+from conftest import CREATED, populate, random_record
 
 REGISTRY = load_registry()
 
@@ -117,6 +118,40 @@ def test_convert_reports_loss(capsys, tmp_path, full_record):
     assert out.exists()
     lost = 43 - len(REGISTRY.profiles[Jurisdiction.CY].concepts)
     assert f"lost {lost}" in stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--article30"],
+        ["validate", "--profile", "BE", "--json"],
+        ["query", "--rule", "JURISDICTION_READINESS"],
+        ["query", "--rule", "TRANSFER_WITHOUT_SAFEGUARDS", "--json"],
+        ["convert", "--from", "UK", "--to", "CY", "--out", "{out}", "--json"],
+        ["export", "--format", "turtle"],
+        ["export", "--format", "jsonld", "--out", "{out}", "--json"],
+    ],
+    ids=["validate", "validate-json", "query", "query-json", "convert-json", "turtle",
+         "jsonld-json"],
+)
+def test_commands_repeat_in_one_process(capsys, tmp_path, registry, argv):
+    # A command run twice in one process gives the same result twice: no
+    # state it keeps outlives the call.
+    rng = random.Random(1)
+    text = write_canonical([random_record(registry, rng, f"pa-{i}") for i in range(12)], registry)
+    text += "pa-x,retention-deletion-periods,0,DURATION,soon\npa-1,no-such-concept,0,TEXT,x\n"
+    register = tmp_path / "register.csv"
+    register.write_text(text, encoding="utf-8", newline="")
+    out = tmp_path / "out"
+    argv = [argv[0], "--input", str(register), *(a.format(out=out) for a in argv[1:])]
+    runs = []
+    for _ in range(2):
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err, out.exists() and out.read_bytes()))
+        out.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert "ropa: warning: line" in runs[0][2]
 
 
 def test_export_turtle_stdout_deterministic(capsys, mandatory_record_file):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
@@ -32,6 +33,7 @@ from ropa_dpv import (
     validate_article30,
     write_canonical,
 )
+from ropa_dpv.cli import _json_text
 from ropa_dpv.template_io import CANONICAL_HEADER
 from conftest import CREATED, sample_values
 from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
@@ -165,12 +167,17 @@ _CANON_LEXICALS = [
     "https://example.com/a", "not an iri", "2024-03-01T10:00:00Z", "2024-03-01",
     "a\ud800b", 'x;y\n"z"',
 ]
-_CANON_FAULTS = ["duplicate", "gap", "index", "record_id", "columns"]
+_CANON_FAULTS = ["duplicate", "gap", "index", "record_id", "columns", "out_of_order"]
 
 
 @st.composite
 def canonical_files(draw):
-    """Canonical CSV text: records interleaved, rows shuffled, up to two faults."""
+    """Canonical CSV text: records interleaved, rows shuffled, up to two faults.
+
+    The ``out_of_order`` fault puts a cell's rows in a row's place, with
+    indexes 1, 0 or 0, 2, 1, and maybe a repeat of one of them: a cell that
+    starts as an index map, and one that starts as a tuple and turns into one.
+    """
     cells = draw(st.lists(
         st.tuples(
             st.sampled_from(_CANON_RECORD_IDS),
@@ -198,6 +205,12 @@ def canonical_files(draw):
             rows.insert(draw(st.integers(0, len(rows))), row)
         elif fault == "gap":
             del rows[at]
+        elif fault == "out_of_order":
+            order = draw(st.sampled_from([[1, 0], [0, 2, 1]]))
+            cell = [[*row[:2], str(index), *row[3:]] for index in order]
+            if draw(st.booleans()):
+                cell.append(draw(st.sampled_from(cell)))
+            rows[at:at + 1] = cell
         else:
             if fault == "index":
                 row[2] = draw(st.sampled_from(["-1", "x", "", "1.0", " 1", "01", "7"]))
@@ -426,3 +439,31 @@ def _assert_graph_matches_reference(records, options):
         assert serialize_turtle(built) == turtle
         assert serialize_jsonld(built) == jsonld
     return graph
+
+
+#: Strings json.dumps escapes or passes through: quote, backslash, C0
+#: controls, U+2028, text outside the BMP and lone surrogates.
+_json_strings = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from('"\\\x00\x08\x1f\x7f\u2028\ud800\udfff\U0001F600')
+    ),
+    max_size=8,
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_strings, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@_settings
+@given(
+    value=_json_values,
+    shared=st.lists(_json_values, max_size=3) | st.dictionaries(_json_strings, _json_values),
+)
+def test_json_text_matches_json_dumps(value, shared):
+    # ``shared`` is one object at three indentations.
+    document = {"value": value, "shared": shared, "nested": [shared, {"deeper": [shared]}]}
+    for obj in (value, document):
+        assert _json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=False)

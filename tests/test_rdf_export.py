@@ -1,6 +1,8 @@
 """Graph construction and deterministic Turtle/JSON-LD serialization."""
 
+import copy
 import gc
+import pickle
 import random
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from ropa_dpv import (
     to_graph,
 )
 from ropa_dpv.rdf_export import RDF_NS, XSD_NS
-from conftest import CREATED, populate
+from conftest import CREATED, populate, random_record
 from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -291,6 +293,18 @@ def test_export_leaves_no_cyclic_garbage(registry):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_copies_keep_the_shared_pair_sets(registry):
+    rng = random.Random(1)
+    graph = records_to_graph([random_record(registry, rng, f"pa-{i}") for i in range(40)], registry)
+    pair_sets = len({id(pairs) for pairs in graph._groups.values()})
+    assert pair_sets < len(graph._groups)  # usage nodes share their concept's set
+    turtle, jsonld = serialize_turtle(graph), serialize_jsonld(graph)
+    for copied in (pickle.loads(pickle.dumps(graph)), copy.copy(graph), copy.deepcopy(graph)):
+        assert len({id(pairs) for pairs in copied._groups.values()}) == pair_sets
+        assert serialize_turtle(copied) == turtle
+        assert serialize_jsonld(copied) == jsonld
 
 
 def test_literal_escaping_survives_reparse(registry):
