@@ -49,44 +49,32 @@ def run_query(
     for equal inputs.
     """
     hits: list[tuple[str, str]] = []
-    for record in records:
-        if rule.id is RuleId.MISSING_MANDATORY:
-            report = validate_article30(record, registry)
-            for finding in report.findings:
-                if finding.code is FindingCode.MISSING_MANDATORY:
-                    hits.append(
-                        (record.record_id, f"missing mandatory concept {finding.concept!r}")
-                    )
-        elif rule.id is RuleId.TRANSFER_WITHOUT_SAFEGUARDS:
+    if rule.id is RuleId.MISSING_MANDATORY:
+        for record in records:
+            hits += [
+                (record.record_id, f"missing mandatory concept {finding.concept!r}")
+                for finding in validate_article30(record, registry).findings
+                if finding.code is FindingCode.MISSING_MANDATORY
+            ]
+    elif rule.id is RuleId.TRANSFER_WITHOUT_SAFEGUARDS:
+        for record in records:
             if record.has(TRANSFER_COUNTRIES) and not record.has(TRANSFER_SAFEGUARDS):
                 countries = ", ".join(v.lexical for v in record.values(TRANSFER_COUNTRIES))
                 hits.append(
-                    (
-                        record.record_id,
-                        f"transfers to {countries} recorded without safeguards",
-                    )
+                    (record.record_id, f"transfers to {countries} recorded without safeguards")
                 )
-        elif rule.id is RuleId.SPECIAL_CATEGORY_WITHOUT_BASIS:
-            if record.has(SPECIAL_CATEGORY) and not record.has(LEGAL_BASIS):
-                hits.append(
-                    (
-                        record.record_id,
-                        "special category data recorded without a legal basis",
-                    )
-                )
-        elif rule.id is RuleId.JURISDICTION_READINESS:
-            matrix = gap_matrix(record, registry)
-            for j in Jurisdiction:
-                if rule.jurisdiction is not None and j is not rule.jurisdiction:
-                    continue
-                status = matrix[j]
-                if not status.ready:
-                    hits.append(
-                        (
-                            record.record_id,
-                            f"{j.value}: {status.errors} error(s), "
-                            f"{status.warnings} warning(s)",
-                        )
-                    )
+    elif rule.id is RuleId.SPECIAL_CATEGORY_WITHOUT_BASIS:
+        hits = [
+            (record.record_id, "special category data recorded without a legal basis")
+            for record in records
+            if record.has(SPECIAL_CATEGORY) and not record.has(LEGAL_BASIS)
+        ]
+    elif rule.id is RuleId.JURISDICTION_READINESS:
+        wanted = [j for j in Jurisdiction if rule.jurisdiction is None or j is rule.jurisdiction]
+        for record in records:
+            for j, (errors, warnings, ready) in gap_matrix(record, registry).items():
+                if not ready and j in wanted:
+                    hits.append((record.record_id,
+                                 f"{j.value}: {errors} error(s), {warnings} warning(s)"))
     hits.sort()
     return QueryResult(rule=rule.id, hits=tuple(hits))

@@ -77,11 +77,15 @@ class ValueSchema(NamedTuple):
 _RECORD_ID_RE = re.compile(r"[A-Za-z0-9._~-]+\Z")
 _COUNTRY_RE = re.compile(r"[A-Z]{2}\Z")
 _IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20\s<>\"{}|\\^`]+\Z")
+#: ``xsd:duration`` has no week component, and its digits are ASCII.
 _DURATION_RE = re.compile(
-    r"P(?:\d+Y)?(?:\d+M)?(?:\d+W)?(?:\d+D)?(?:T(?:\d+H)?(?:\d+M)?(?:\d+(?:\.\d+)?S)?)?\Z"
+    r"P(?:\d+Y)?(?:\d+M)?(?:\d+D)?(?:T(?:\d+H)?(?:\d+M)?(?:\d+(?:\.\d+)?S)?)?\Z", re.ASCII
 )
-# The two patterns below are compiled on first use (by re's cache), not at
-# import: every command imports this module, few check timestamps.
+# The patterns below are compiled on first use (by re's cache), not at
+# import: every command imports this module, few check timestamps or dates.
+#: The one ``xsd:date`` form a DATE takes; ``date.fromisoformat`` also reads
+#: ``20240301`` and ``2024-W10-1``.
+_XSD_DATE = r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
 #: The XSD 1.1 dateTime lexical space (https://www.w3.org/TR/xmlschema11-2/#dateTime)
 #: but for the day-of-month constraint, which :func:`is_xsd_datetime` adds.
 _XSD_DATETIME = (
@@ -95,7 +99,8 @@ _SURROGATE = "[\ud800-\udfff]"
 
 
 def is_duration(text: str) -> bool:
-    """True for ISO-8601 durations with at least one dated component."""
+    """True for ``xsd:duration`` lexical forms with at least one component:
+    ISO-8601 durations without a week component or a sign."""
     if not _DURATION_RE.fullmatch(text):
         return False
     return text != "P" and not text.endswith("T")
@@ -165,6 +170,8 @@ class FieldValue(_FieldValueItems):
             from datetime import date
 
             try:
+                if not re.fullmatch(_XSD_DATE, value):
+                    raise ValueError("not YYYY-MM-DD")
                 date.fromisoformat(value)
             except ValueError as exc:
                 raise ValueError(f"not an ISO-8601 date: {value!r}") from exc

@@ -293,16 +293,12 @@ def parse_canonical(
     Structural problems raise :class:`MalformedCsv` or :class:`DuplicateCell`.
     """
     by_record = _read(source, _canonical_rows)
-    from_lexical = FieldValue.from_lexical
+    # Per call: each concept's plan, and each valid value by (kind, value),
+    # shared across concepts.  A value that ``from_lexical`` rejects is not
+    # cached, so it is built, and reported, at each occurrence.
+    plan_of = functools.cache(lambda concept_id: _concept_plan(concept_id, registry))
+    memo = functools.cache(FieldValue.from_lexical)
     warnings: list[str] = []
-    # Per call: each concept's plan; per (concept_id, kind_tag, value), its
-    # FieldValue or the warning (after its line) for a wrong kind; and each
-    # valid value by (kind, value), shared across concepts.  A value that
-    # ``from_lexical`` rejects is kept in none of them, so it is built, and
-    # reported, at each occurrence.
-    plans: dict[str, tuple[ValueKind, bool] | str | None] = {}
-    resolved: dict[tuple[str, str, str], FieldValue | str] = {}
-    built: dict[tuple[ValueKind, str], FieldValue] = {}
     records: list[RopaRecord] = []
     # (first line, record_id, concept_id) per cell whose value indexes do not
     # run from 0 without a gap; the one seen first in the file is raised.
@@ -318,10 +314,7 @@ def parse_canonical(
                 except KeyError:
                     gaps.append((next(iter(entries.values()))[0], record_id, concept_id))
                     continue
-            try:
-                plan = plans[concept_id]
-            except KeyError:
-                plan = plans[concept_id] = _concept_plan(concept_id, registry)
+            plan = plan_of(concept_id)
             if plan is None:
                 if len(entries) > 1:
                     warnings.append(
@@ -338,35 +331,23 @@ def parse_canonical(
             kind, single = plan
             values: list[FieldValue] = []
             for line, kind_tag, value in entries:
-                key = (concept_id, kind_tag, value)
-                got = resolved.get(key)
-                if got is None:
-                    tag_kind = _KINDS.get(kind_tag)
+                tag_kind = _KINDS.get(kind_tag)
+                if tag_kind is not kind:
                     if tag_kind is None:
-                        got = (
-                            f"unknown value kind {kind_tag!r} for {concept_id!r}; "
-                            "value dropped"
-                        )
-                    elif tag_kind is not kind:
-                        got = (
-                            f"{concept_id!r} expects {kind.value}, got {tag_kind.value}; "
-                            "value dropped"
+                        warnings.append(
+                            f"line {line}: unknown value kind {kind_tag!r} for "
+                            f"{concept_id!r}; value dropped"
                         )
                     else:
-                        got = built.get((kind, value))
-                        if got is None:
-                            try:
-                                got = built[kind, value] = from_lexical(kind, value)
-                            except ValueError as exc:
-                                warnings.append(
-                                    f"line {line}: {concept_id!r}: {exc}; value dropped"
-                                )
-                                continue
-                    resolved[key] = got
-                if got.__class__ is str:
-                    warnings.append(f"line {line}: {got}")
-                else:
-                    values.append(got)
+                        warnings.append(
+                            f"line {line}: {concept_id!r} expects {kind.value}, "
+                            f"got {tag_kind.value}; value dropped"
+                        )
+                    continue
+                try:
+                    values.append(memo(kind, value))
+                except ValueError as exc:
+                    warnings.append(f"line {line}: {concept_id!r}: {exc}; value dropped")
             if single and len(values) > 1:
                 warnings.append(
                     f"line {entries[0][0]}: {concept_id!r} holds a single value; "

@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .records import Multiplicity, RopaRecord, ValueKind
+from .records import FieldValue, Multiplicity, RopaRecord, ValueKind, ValueSchema
 from .registry import ConceptRegistry, Jurisdiction, JurisdictionProfile
 
 
@@ -62,48 +62,37 @@ def _finding(concept: str, code: FindingCode, message: str) -> ValidationFinding
 
 
 def _value_findings(
-    record: RopaRecord, registry: ConceptRegistry, concept_id: str
+    concept_id: str,
+    schema: ValueSchema,
+    values: tuple[FieldValue, ...],
+    registry: ConceptRegistry,
 ) -> list[ValidationFinding]:
-    """Check populated values against the concept's schema.
+    """Check a concept's populated values against its schema.
 
     ``set_field`` already enforces schemas, so TYPE_MISMATCH can only occur
     for records deserialized from external files or built by hand.
     UNKNOWN_TERM fires only for vocabularies that ship seeded terms;
     vocabularies are free-growing, so these stay warnings.
     """
-    schema = registry.concept(concept_id).value_schema
-    values = record.values(concept_id)
-    findings: list[ValidationFinding] = []
-    for v in values:
-        if v.kind is not schema.kind:
-            findings.append(
-                _finding(
-                    concept_id,
-                    FindingCode.TYPE_MISMATCH,
-                    f"expected {schema.kind.value} value, got {v.kind.value}",
-                )
-            )
+    kind = schema.kind
+    findings = [
+        _finding(concept_id, FindingCode.TYPE_MISMATCH,
+                 f"expected {kind.value} value, got {v.kind.value}")
+        for v in values
+        if v.kind is not kind
+    ]
     if schema.multiplicity is Multiplicity.ONE and len(values) > 1:
-        findings.append(
-            _finding(
-                concept_id,
-                FindingCode.TYPE_MISMATCH,
-                f"concept holds a single value, got {len(values)}",
-            )
-        )
-    if schema.kind in (ValueKind.TERM, ValueKind.TERM_LIST) and schema.vocabulary:
+        findings.append(_finding(concept_id, FindingCode.TYPE_MISMATCH,
+                                 f"concept holds a single value, got {len(values)}"))
+    if kind in (ValueKind.TERM, ValueKind.TERM_LIST) and schema.vocabulary:
         known = registry.known_terms(schema.vocabulary)
-        if known:
-            for v in values:
-                if v.kind is schema.kind and v.value not in known:
-                    findings.append(
-                        _finding(
-                            concept_id,
-                            FindingCode.UNKNOWN_TERM,
-                            f"term {v.value!r} is not in vocabulary "
-                            f"{schema.vocabulary!r} (free-growing; informational)",
-                        )
-                    )
+        findings += [
+            _finding(concept_id, FindingCode.UNKNOWN_TERM,
+                     f"term {v.value!r} is not in vocabulary "
+                     f"{schema.vocabulary!r} (free-growing; informational)")
+            for v in values
+            if known and v.kind is kind and v.value not in known
+        ]
     return findings
 
 
@@ -113,28 +102,20 @@ def _validate(
     profile: JurisdictionProfile | None,
 ) -> ValidationReport:
     # _value_findings already emits each concept's findings in code order.
+    # Populated means present in ``record.fields``, even with no values.
+    fields = record.fields
     findings: list[ValidationFinding] = []
     for descriptor in registry.concepts:
         cid = descriptor.id
-        if not record.has(cid):
-            if descriptor.mandatory:
-                findings.append(
-                    _finding(
-                        cid,
-                        FindingCode.MISSING_MANDATORY,
-                        f"mandatory concept {cid!r} is not populated",
-                    )
-                )
-            elif profile is not None and cid in profile.concepts:
-                findings.append(
-                    _finding(
-                        cid,
-                        FindingCode.MISSING_PROFILE_FIELD,
-                        f"{profile.jurisdiction.value} template expects {cid!r}",
-                    )
-                )
-        else:
-            findings.extend(_value_findings(record, registry, cid))
+        values = fields.get(cid)
+        if values is not None:
+            findings += _value_findings(cid, descriptor.value_schema, values, registry)
+        elif descriptor.mandatory:
+            findings.append(_finding(cid, FindingCode.MISSING_MANDATORY,
+                                     f"mandatory concept {cid!r} is not populated"))
+        elif profile is not None and cid in profile.concepts:
+            findings.append(_finding(cid, FindingCode.MISSING_PROFILE_FIELD,
+                                     f"{profile.jurisdiction.value} template expects {cid!r}"))
     return ValidationReport(findings=tuple(findings))
 
 
@@ -171,13 +152,10 @@ def gap_matrix(
     and zero warnings for that jurisdiction.
     """
     report = validate_article30(record, registry)
+    errors, warnings = report.error_count, report.warning_count
     mandatory = registry.mandatory_concepts()
     matrix: dict[Jurisdiction, GapStatus] = {}
     for j in Jurisdiction:
         missing = len(registry.profiles[j].concepts.difference(record.fields, mandatory))
-        matrix[j] = GapStatus(
-            errors=report.error_count,
-            warnings=report.warning_count + missing,
-            ready=not report.findings and not missing,
-        )
+        matrix[j] = GapStatus(errors, warnings + missing, not (errors or warnings or missing))
     return matrix

@@ -358,6 +358,57 @@ def test_stderr_is_utf8_under_an_ascii_locale(tmp_path):
     assert ascii_.stderr == utf8.stderr
 
 
+def test_week_duration_is_dropped_on_import(capsys, tmp_path):
+    # xsd:duration has no week component, so "P2W" must not reach an export.
+    cid = "retention-deletion-periods"
+    record = set_field(
+        new_record("pa-1", "Acme", CREATED), REGISTRY, cid, field_values(REGISTRY, cid, "P1D")
+    )
+    config = default_config(REGISTRY, Jurisdiction.UK)
+    assert "Retention/Deletion Periods" in config.headers
+    text, _ = export_template(record, config, REGISTRY)
+    template, register = tmp_path / "uk.csv", tmp_path / "register.csv"
+    template.write_text(text.replace("P1D", "P2W"), encoding="utf-8", newline="")
+    args = ["import", "--input", str(template), "--template", "UK", "--out", str(register)]
+    assert cli_main(args) == 0
+    err = capsys.readouterr().err
+    assert err.count("; value dropped") == 1
+    assert "not an ISO-8601 duration: 'P2W'" in err
+    for fmt in ("turtle", "jsonld"):
+        assert cli_main(["export", "--input", str(register), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "dpv:" in out and "P2W" not in out
+
+
+def test_runtime_imports_only_the_standard_library(tmp_path):
+    # The package has no third-party dependencies: ``-S`` keeps site hooks
+    # out, so every module loaded is the standard library's or our own.
+    record = set_field(
+        new_record("pa-1", "Acme", CREATED), REGISTRY, "purposes-of-processing",
+        field_values(REGISTRY, "purposes-of-processing", "marketing"),
+    )
+    path = tmp_path / "register.csv"
+    path.write_text(write_canonical([record], REGISTRY), encoding="utf-8", newline="")
+    code = (
+        "import sys\n"
+        "from ropa_dpv.cli import cli_main\n"
+        "assert cli_main(['stats']) == 0\n"
+        "assert cli_main(['export', '--input', sys.argv[1], '--format', 'jsonld']) == 0\n"
+        "names = {name.partition('.')[0] for name in sys.modules}\n"
+        "print(*sorted(names - sys.stdlib_module_names), file=sys.stderr)\n"
+    )
+    src = str(Path(ropa_dpv.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(path)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert b"dpv:hasPurpose" in result.stdout
+    names = set(result.stderr.split())
+    assert b"ropa_dpv" in names
+    assert names <= {b"__main__", b"ropa_dpv"}
+
+
 def test_start_up_imports_no_dataclasses():
     # ``dataclasses`` costs about 10 ms to import, with ``inspect``, ``ast``,
     # ``dis`` and ``tokenize``.  Modules the stdlib's own importlib.resources

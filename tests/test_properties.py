@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 
 import canonical_reference
 import rdf_reference
+import validation_reference
 from ropa_dpv import (
     FieldValue,
     Jurisdiction,
@@ -62,7 +63,7 @@ _unicode_text = st.text(
 )
 _slug = st.from_regex(r"[a-z][a-z0-9-]{0,11}", fullmatch=True)
 _record_id = st.from_regex(r"[A-Za-z0-9._~-]{1,12}", fullmatch=True)
-_duration = st.from_regex(r"P[1-9]\d?(Y|M|W|D)", fullmatch=True)
+_duration = st.from_regex(r"P[1-9][0-9]?[YMD]", fullmatch=True)
 _country = st.from_regex(r"[A-Z]{2}", fullmatch=True)
 _uri = _slug.map(lambda s: f"https://example.com/{s}")
 _date = st.dates().map(lambda d: d.isoformat())
@@ -388,6 +389,28 @@ def test_gap_matrix_agrees_with_profile_validation(record):
         assert status.errors == report.error_count
         assert status.warnings == report.warning_count
         assert status.ready == (not report.findings)
+
+
+_TEXT_VALUE = (FieldValue(ValueKind.TEXT, "x"),)
+
+
+@_settings
+@given(record=st.one_of(ropa_records(), hand_built_records()))
+# Populated means present in ``fields``: a mandatory concept mapped to no
+# values is not missing.
+@example(record=RopaRecord("no-values", "Acme", CREATED,
+                           {REGISTRY.mandatory_concepts()[0]: ()}))
+@example(record=RopaRecord("unknown-id", "Acme", CREATED, {"no-such-concept": _TEXT_VALUE}))
+@example(record=RopaRecord("container", "Acme", CREATED, {REGISTRY.container.id: _TEXT_VALUE}))
+def test_validation_matches_reference(record):
+    expected = validation_reference.validate_article30(record, REGISTRY)
+    assert validate_article30(record, REGISTRY) == expected
+    for j in Jurisdiction:
+        profile = REGISTRY.profiles[j]
+        expected = validation_reference.validate_against_profile(record, profile, REGISTRY)
+        assert validate_against_profile(record, profile, REGISTRY) == expected
+    expected = validation_reference.gap_matrix(record, REGISTRY)
+    assert list(gap_matrix(record, REGISTRY).items()) == list(expected.items())
 
 
 _IRI_OPTIONS = st.sampled_from([
