@@ -18,22 +18,13 @@ machine-readable envelope with identical finding/hit content.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Sequence
 
 from . import __version__
 from .errors import RopaError
-from .queries import QueryRule, RuleId, run_query
-from .rdf_export import (
-    DEFAULT_BASE,
-    DEFAULT_ROPAEX_NS,
-    _indented,
-    _json,
-    records_to_graph,
-    serialize_jsonld,
-    serialize_turtle,
-)
-from .records import is_absolute_iri
+from .records import _indented, _json, is_absolute_iri
 from .registry import Jurisdiction, load_registry
 from .template_io import (
     convert,
@@ -42,10 +33,18 @@ from .template_io import (
     parse_canonical,
     write_canonical,
 )
-from .validation import validate_against_profile, validate_article30
 
+# validation, queries and rdf_export are imported by the commands that use
+# them, when they run, so that no other command pays for loading them.
 _JURISDICTION_CODES = [j.value for j in Jurisdiction]
-_RULE_IDS = [r.value for r in RuleId]
+#: ``queries.RuleId``'s values, in its order, written out so that building
+#: the parser does not import ``queries``.
+_RULE_IDS = (
+    "MISSING_MANDATORY",
+    "TRANSFER_WITHOUT_SAFEGUARDS",
+    "SPECIAL_CATEGORY_WITHOUT_BASIS",
+    "JURISDICTION_READINESS",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,10 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export records as RDF")
     p.add_argument("--input", required=True, help="canonical interchange CSV")
     p.add_argument("--format", required=True, choices=["turtle", "jsonld"])
-    p.add_argument("--base", default=DEFAULT_BASE, help="base IRI for record nodes")
-    p.add_argument(
-        "--ropaex", default=DEFAULT_ROPAEX_NS, help="extension namespace IRI"
-    )
+    p.add_argument("--base", help="base IRI for record nodes")
+    p.add_argument("--ropaex", help="extension namespace IRI")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--json", action="store_true", help="machine-readable summary")
 
@@ -241,6 +238,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validation import validate_against_profile, validate_article30
+
     registry, records = _load_canonical(args)
     profile = (
         registry.profiles[Jurisdiction(args.profile)] if args.profile else None
@@ -333,12 +332,22 @@ def _cmd_export(args) -> int:
     if args.json and not args.out:
         print("ropa: error: --json requires --out (stdout carries the RDF)", file=sys.stderr)
         return 2
-    for flag, iri in (("--base", args.base), ("--ropaex", args.ropaex)):
+    from .rdf_export import (
+        DEFAULT_BASE,
+        DEFAULT_ROPAEX_NS,
+        records_to_graph,
+        serialize_jsonld,
+        serialize_turtle,
+    )
+
+    base = DEFAULT_BASE if args.base is None else args.base
+    ropaex = DEFAULT_ROPAEX_NS if args.ropaex is None else args.ropaex
+    for flag, iri in (("--base", base), ("--ropaex", ropaex)):
         if not is_absolute_iri(iri):
             print(f"ropa: error: {flag} is not an absolute IRI: {iri!r}", file=sys.stderr)
             return 2
     registry, records = _load_canonical(args)
-    graph = records_to_graph(records, registry, base=args.base, ropaex=args.ropaex)
+    graph = records_to_graph(records, registry, base=base, ropaex=ropaex)
     text = serialize_turtle(graph) if args.format == "turtle" else serialize_jsonld(graph)
     _write_file(args.out, text)
     if args.json:
@@ -357,6 +366,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .queries import QueryRule, RuleId, run_query
+
     registry, records = _load_canonical(args)
     rule = QueryRule(
         RuleId(args.rule),
@@ -426,7 +437,10 @@ def main() -> None:
     # whatever the locale
     sys.stdout.reconfigure(encoding="utf-8")
     sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
-    sys.exit(cli_main())
+    code = cli_main()
+    # So that interpreter shutdown skips the collector's full passes over every live object.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
-from .records import FieldValue, RopaRecord, ValueKind, is_absolute_iri
+from .records import FieldValue, RopaRecord, ValueKind, _indented, _json, is_absolute_iri
 from .registry import ConceptRegistry, MappingOutcome
 
 DPV_NS = "https://w3id.org/dpv#"
@@ -62,7 +61,6 @@ PROCESSING_VERB_TERMS = frozenset({"dpv:Combine", "dpv:Transfer"})
 
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9]+\Z")
 _LOCAL_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
-_json = json.encoder.encode_basestring  # json.dumps of a str, with ensure_ascii=False
 
 
 class NodeKind(str, Enum):
@@ -428,15 +426,6 @@ def serialize_turtle(graph: TripleGraph) -> str:
         lines.append("")
     lines += [s + ("\n" + s).join(block) for _, s, block in subjects]
     return "\n".join(lines) + "\n"
-
-
-def _indented(open_: str, items: Sequence[str], close: str, pad: str) -> str:
-    """The ``json.dumps(indent=2)`` layout of an array or object at
-    indentation ``pad``, from its rendered items."""
-    if not items:
-        return open_ + close
-    inner = "\n" + pad + "  "
-    return open_ + inner + ("," + inner).join(items) + "\n" + pad + close
 
 
 def _jsonld_entry(node: Node, namespaces) -> tuple[str, str]:

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from json.encoder import encode_basestring as _json  # json.dumps of a str, with ensure_ascii=False
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     EmptyControllerName,
@@ -127,6 +128,15 @@ def is_xsd_datetime(text: str) -> bool:
         last = int(year[-4:])
         return last % 4 == 0 and (last % 100 != 0 or last % 400 == 0)
     return True
+
+
+def _indented(open_: str, items: Sequence[str], close: str, pad: str) -> str:
+    """The ``json.dumps(indent=2)`` layout of an array or object at
+    indentation ``pad``, from its rendered items."""
+    if not items:
+        return open_ + close
+    inner = "\n" + pad + "  "
+    return open_ + inner + ("," + inner).join(items) + "\n" + pad + close
 
 
 def has_surrogate(text: str) -> bool:

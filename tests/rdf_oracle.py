@@ -13,6 +13,9 @@ Triples are returned in a canonical form:
     object:    ("iri", value) | ("blank", label) | ("lit", value, datatype, lang)
 
 Plain literals are normalized to datatype ``xsd:string``.
+
+:func:`invalid_literals` checks the literals of four XSD datatypes against
+their lexical spaces.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 import json
 import re
 
-XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
+XSD = "http://www.w3.org/2001/XMLSchema#"
+XSD_STRING = XSD + "string"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 _TOKEN_RE = re.compile(
@@ -222,3 +226,48 @@ def canonical_triples(graph) -> set:
         return ("lit", n.value, datatype, n.language)
 
     return {(node(t.subject), node(t.predicate), node(t.object)) for t in graph.triples}
+
+
+# Lexical spaces from XSD 1.1 Part 2 (https://www.w3.org/TR/xmlschema11-2/),
+# sections 3.3.2 boolean, 3.3.6 duration, 3.3.7 dateTime and 3.3.9 date.
+# ``[0-9]`` matches ASCII digits only, as the spec's ``\d`` does.
+_YEAR_MONTH_DAY = r"(-?(?:[1-9][0-9]{3,}|0[0-9]{3}))-(0[1-9]|1[0-2])-(0[1-9]|[12][0-9]|3[01])"
+_TIME = r"(?:(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9](?:\.[0-9]+)?|24:00:00(?:\.0+)?)"
+_TIMEZONE = r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+_SECONDS = r"[0-9]+(?:\.[0-9]+)?S"
+_DURATION_DATE = r"(?:[0-9]+Y(?:[0-9]+M)?(?:[0-9]+D)?|[0-9]+M(?:[0-9]+D)?|[0-9]+D)"
+_DURATION_TIME = (
+    rf"T(?:[0-9]+H(?:[0-9]+M)?(?:{_SECONDS})?|[0-9]+M(?:{_SECONDS})?|{_SECONDS})"
+)
+_LEXICAL_SPACES = {
+    XSD + "boolean": re.compile(r"true|false|1|0"),
+    XSD + "duration": re.compile(
+        rf"-?P(?:{_DURATION_DATE}(?:{_DURATION_TIME})?|{_DURATION_TIME})"
+    ),
+    XSD + "dateTime": re.compile(rf"{_YEAR_MONTH_DAY}T{_TIME}{_TIMEZONE}"),
+    XSD + "date": re.compile(rf"{_YEAR_MONTH_DAY}{_TIMEZONE}"),
+}
+
+
+def _day_in_month(year: int, month: int, day: int) -> bool:
+    """The day-of-month constraint on ``date`` and ``dateTime``."""
+    if month == 2:
+        leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+        return day <= (29 if leap else 28)
+    return day <= (30 if month in (4, 6, 9, 11) else 31)
+
+
+def invalid_literals(triples) -> list:
+    """The literal objects of canonical ``triples`` typed ``xsd:boolean``,
+    ``xsd:duration``, ``xsd:dateTime`` or ``xsd:date`` whose value lies
+    outside that datatype's lexical space, sorted."""
+    invalid = set()
+    for _, _, obj in triples:
+        pattern = _LEXICAL_SPACES.get(obj[2]) if obj[0] == "lit" else None
+        if pattern is None:
+            continue
+        match = pattern.fullmatch(obj[1])
+        # Only the date patterns have groups: year, month and day.
+        if match is None or (match.groups() and not _day_in_month(*map(int, match.groups()))):
+            invalid.add(obj)
+    return sorted(invalid)

@@ -1,5 +1,7 @@
 """CLI contract: subcommands, exit codes, text/JSON agreement."""
 
+import gc
+import importlib
 import json
 import os
 import random
@@ -12,6 +14,7 @@ import pytest
 import ropa_dpv
 from ropa_dpv import (
     Jurisdiction,
+    RuleId,
     default_config,
     export_template,
     field_values,
@@ -20,7 +23,7 @@ from ropa_dpv import (
     set_field,
     write_canonical,
 )
-from ropa_dpv.cli import cli_main
+from ropa_dpv.cli import _RULE_IDS, cli_main
 from conftest import CREATED, populate, random_record
 
 REGISTRY = load_registry()
@@ -194,7 +197,9 @@ def test_import_json_requires_out(capsys, tmp_path):
     assert "requires --out" in captured.err
 
 
-@pytest.mark.parametrize("flag, value", [("--base", "not an iri"), ("--ropaex", "x y")])
+@pytest.mark.parametrize(
+    "flag, value", [("--base", "not an iri"), ("--ropaex", "x y"), ("--base", "")]
+)
 def test_export_rejects_bad_iri_flags(capsys, mandatory_record_file, flag, value):
     code = cli_main(
         ["export", "--input", str(mandatory_record_file), "--format", "turtle", flag, value]
@@ -203,6 +208,18 @@ def test_export_rejects_bad_iri_flags(capsys, mandatory_record_file, flag, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ropa: error: {flag} is not an absolute IRI: {value!r}\n"
+
+
+@pytest.mark.parametrize("fmt", ["turtle", "jsonld"])
+def test_export_defaults_are_the_exporters(tmp_path, mandatory_record_file, fmt):
+    explicit = ["--base", "https://example.org/ropa", "--ropaex", "https://example.org/ropaex#"]
+    written = []
+    for flags in ([], explicit):
+        out = tmp_path / f"out{len(written)}"
+        argv = ["export", "--input", str(mandatory_record_file), "--format", fmt]
+        assert cli_main([*argv, "--out", str(out), *flags]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_query_hits_exit_one(capsys, tmp_path, registry, empty_record):
@@ -241,6 +258,13 @@ def test_query_json_and_text_agree(capsys, empty_record_file):
         f"{e['record_id']}: {e['detail']}" for e in envelope["results"]
     )
     assert text_hits == json_hits
+
+
+def test_rule_choices_are_the_rule_ids_in_order(capsys):
+    # The parser names the rules without importing the queries module.
+    assert _RULE_IDS == tuple(r.value for r in RuleId)
+    assert cli_main(["query", "--help"]) == 0
+    assert "{" + ",".join(r.value for r in RuleId) + "}" in capsys.readouterr().out
 
 
 def test_query_unknown_rule_is_usage_error(capsys):
@@ -380,9 +404,19 @@ def test_week_duration_is_dropped_on_import(capsys, tmp_path):
         assert "dpv:" in out and "P2W" not in out
 
 
+def _run_child(code: str, *args: str):
+    """``python -S -c code args...`` with only the package's source tree on
+    the path: ``-S`` keeps site hooks, and the modules they load, out."""
+    src = str(Path(ropa_dpv.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+
+
 def test_runtime_imports_only_the_standard_library(tmp_path):
-    # The package has no third-party dependencies: ``-S`` keeps site hooks
-    # out, so every module loaded is the standard library's or our own.
+    # The package has no third-party dependencies: with site hooks kept out,
+    # every module loaded is the standard library's or our own.
     record = set_field(
         new_record("pa-1", "Acme", CREATED), REGISTRY, "purposes-of-processing",
         field_values(REGISTRY, "purposes-of-processing", "marketing"),
@@ -397,11 +431,7 @@ def test_runtime_imports_only_the_standard_library(tmp_path):
         "names = {name.partition('.')[0] for name in sys.modules}\n"
         "print(*sorted(names - sys.stdlib_module_names), file=sys.stderr)\n"
     )
-    src = str(Path(ropa_dpv.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(path)],
-        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
+    result = _run_child(code, str(path))
     assert result.returncode == 0, result.stderr
     assert b"dpv:hasPurpose" in result.stdout
     names = set(result.stderr.split())
@@ -421,11 +451,7 @@ def test_start_up_imports_no_dataclasses():
         "loaded = set(sys.modules) - stdlib\n"
         "print(sorted(loaded & {'dataclasses', 'inspect', 'datetime'}))\n"
     )
-    src = str(Path(ropa_dpv.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
+    result = _run_child(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout == b"[]\n"
 
@@ -439,13 +465,65 @@ def test_start_up_imports_no_importlib_resources():
         "ropa_dpv.cli.load_registry()\n"
         "print(sorted(set(sys.modules) & {'importlib.resources', 'inspect'}))\n"
     )
-    src = str(Path(ropa_dpv.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
+    result = _run_child(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout == b"[]\n"
+
+
+def test_a_command_loads_only_its_own_layers(tmp_path):
+    record = new_record("pa-1", "Acme", CREATED)
+    text, _ = export_template(record, default_config(REGISTRY, Jurisdiction.CY), REGISTRY)
+    template, register, graph = tmp_path / "cy.csv", tmp_path / "register.csv", tmp_path / "ttl"
+    template.write_text(text, encoding="utf-8", newline="")
+    code = (
+        "import sys\n"
+        "from ropa_dpv.cli import cli_main\n"
+        "layers = {'ropa_dpv.rdf_export', 'ropa_dpv.validation', 'ropa_dpv.queries', 'urllib'}\n"
+        "assert cli_main(['import', '--input', sys.argv[1], '--template', 'CY',\n"
+        "                 '--out', sys.argv[2]]) == 0\n"
+        "print(sorted(layers & set(sys.modules)))\n"
+        "assert cli_main(['export', '--input', sys.argv[2], '--format', 'turtle',\n"
+        "                 '--out', sys.argv[3]]) == 0\n"
+        "print(sorted(layers & set(sys.modules)))\n"
+    )
+    result = _run_child(code, str(template), str(register), str(graph))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [b"[]", b"['ropa_dpv.rdf_export', 'urllib']"]
+
+
+def test_package_names_are_their_modules_objects():
+    assert len(set(ropa_dpv.__all__)) == len(ropa_dpv.__all__)
+    for module, names in ropa_dpv._EXPORTS.items():
+        home = importlib.import_module(f"ropa_dpv.{module}")
+        for name in names:
+            assert name in ropa_dpv.__all__
+            assert getattr(ropa_dpv, name) is getattr(home, name)
+    assert set(ropa_dpv.__all__) <= set(dir(ropa_dpv))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ropa_dpv.no_such_name
+    namespace = {}
+    exec("from ropa_dpv import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ropa_dpv.__all__)
+
+
+def test_main_freezes_the_collector_before_exit():
+    code = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        "sys.argv = ['ropa', 'stats']\n"
+        "from ropa_dpv.cli import main\n"
+        "main()\n"
+    )
+    result = _run_child(code)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.rpartition(b"frozen ")[2]) > 0
+
+
+def test_cli_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert cli_main(["stats"]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_usage_error_exit_two(capsys):

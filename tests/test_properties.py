@@ -37,7 +37,7 @@ from ropa_dpv import (
 from ropa_dpv.cli import _json_text
 from ropa_dpv.template_io import CANONICAL_HEADER
 from conftest import CREATED, sample_values
-from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
+from rdf_oracle import canonical_triples, invalid_literals, parse_jsonld, parse_turtle
 
 REGISTRY = load_registry()
 ALL_IDS = [c.id for c in REGISTRY.concepts]
@@ -166,7 +166,7 @@ _CANON_KIND_TAGS = [kind.value for kind in ValueKind] + ["bogus"]
 _CANON_LEXICALS = [
     "Acme GmbH", "", "marketing", "P1Y", "1Y", "true", "maybe",
     "https://example.com/a", "not an iri", "2024-03-01T10:00:00Z", "2024-03-01",
-    "a\ud800b", 'x;y\n"z"',
+    "a\ud800b", 'x;y\n"z"', "P2W", "P1W2D", "20240301", "2024-W10-1",
 ]
 _CANON_FAULTS = ["duplicate", "gap", "index", "record_id", "columns", "out_of_order"]
 
@@ -245,6 +245,23 @@ def test_parse_canonical_matches_reference(text):
     assert _parse_outcome(parse_canonical, text) == _parse_outcome(
         canonical_reference.parse_canonical, text
     )
+
+
+@_settings
+@given(text=canonical_files())
+# values outside the lexical space of xsd:duration and xsd:dateTime, which the
+# parse must drop
+@example(text=_HEADER_LINE + "pa-1,_meta:created,0,TEXT,20240301\n"
+         "pa-1,retention-deletion-periods,0,DURATION,P2W\n"
+         "pa-1,retention-deletion-periods,1,DURATION,P1W2D\n")
+def test_literals_exported_from_a_parsed_file_are_in_their_lexical_space(text):
+    try:
+        records, _ = parse_canonical(text, REGISTRY)
+    except RopaError:
+        return
+    graph = records_to_graph(records, REGISTRY)
+    assert invalid_literals(parse_turtle(serialize_turtle(graph))) == []
+    assert invalid_literals(parse_jsonld(serialize_jsonld(graph))) == []
 
 
 @_settings
@@ -428,8 +445,10 @@ _IRI_OPTIONS = st.sampled_from([
 )
 def test_rdf_export_matches_reference_on_unicode_text(records, options):
     graph = _assert_graph_matches_reference(records, options)
-    assert parse_turtle(serialize_turtle(graph)) == canonical_triples(graph)
-    assert parse_jsonld(serialize_jsonld(graph)) == canonical_triples(graph)
+    for serialize, parse in ((serialize_turtle, parse_turtle), (serialize_jsonld, parse_jsonld)):
+        triples = parse(serialize(graph))
+        assert triples == canonical_triples(graph)
+        assert invalid_literals(triples) == []
 
 
 @st.composite

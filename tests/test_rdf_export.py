@@ -29,7 +29,7 @@ from ropa_dpv import (
 )
 from ropa_dpv.rdf_export import RDF_NS, XSD_NS
 from conftest import CREATED, populate, random_record
-from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
+from rdf_oracle import canonical_triples, invalid_literals, parse_jsonld, parse_turtle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -324,6 +324,7 @@ def test_golden_awkward_corpus(registry, awkward_records, name, serialize):
     assert serialize(graph) == expected
     parse = parse_turtle if name.endswith(".ttl") else parse_jsonld
     assert parse(expected) == canonical_triples(graph)
+    assert invalid_literals(parse(expected)) == []
 
 
 # -- byte identity with the reference serializers (tests/rdf_reference.py) -----

@@ -6,7 +6,8 @@ cut short.  ``cli_main`` must then exit 0, 1 or 2, with no exception
 escaping and an error message for every exit 2, the canonical file
 written by an ``import`` or ``convert`` that succeeds must read back
 without a warning, and the RDF written by an ``export`` that succeeds must
-parse, under the independent oracle, to the graph of the records read.
+parse, under the independent oracle, to the graph of the records read,
+with every typed literal in its XSD lexical space.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ from ropa_dpv import (
 )
 from ropa_dpv.cli import cli_main
 from conftest import CREATED, populate
-from rdf_oracle import canonical_triples, parse_jsonld, parse_turtle
+from rdf_oracle import canonical_triples, invalid_literals, parse_jsonld, parse_turtle
 
 REGISTRY = load_registry()
 _UK = default_config(REGISTRY, Jurisdiction.UK)
@@ -159,4 +160,6 @@ def test_commands_on_a_mutated_register_exit_cleanly(name, data):
                     stdout = handle.read().decode("utf-8")
             parse = parse_turtle if name == "export-turtle" else parse_jsonld
             records, _ = parse_canonical(data, REGISTRY)
-            assert parse(stdout) == canonical_triples(records_to_graph(records, REGISTRY))
+            triples = parse(stdout)
+            assert triples == canonical_triples(records_to_graph(records, REGISTRY))
+            assert invalid_literals(triples) == []
