@@ -27,9 +27,16 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from json.encoder import encode_basestring as _json  # json.dumps of a str, with ensure_ascii=False
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+
+# json.dumps of a str, with ensure_ascii=False: the C function json.encoder
+# binds, without the json package's start-up cost (it compiles the patterns
+# of json.decoder and json.scanner).
+try:
+    from _json import encode_basestring as _json
+except ImportError:
+    from json.encoder import encode_basestring as _json
 
 from .errors import (
     EmptyControllerName,
@@ -95,8 +102,6 @@ _XSD_DATETIME = (
     r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
 )
 _MONTH_DAYS = (31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-#: Surrogate code points, which UTF-8 cannot encode.
-_SURROGATE = "[\ud800-\udfff]"
 
 
 def is_duration(text: str) -> bool:
@@ -141,7 +146,13 @@ def _indented(open_: str, items: Sequence[str], close: str, pad: str) -> str:
 
 def has_surrogate(text: str) -> bool:
     """True when ``text`` holds a lone surrogate, so it has no UTF-8 encoding."""
-    return not text.isascii() and re.search(_SURROGATE, text) is not None
+    if text.isascii():
+        return False
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 class _FieldValueItems(NamedTuple):

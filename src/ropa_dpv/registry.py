@@ -6,21 +6,32 @@ regulator ROPA templates (Belgium, Cyprus, Denmark, Finland, Luxembourg, UK),
 each aligned to the Data Privacy Vocabulary with a correspondence outcome,
 plus one container row for the register itself.
 
-The dataset ships as human-auditable CSV files under ``ropa_dpv/data/`` and
-is verified against recorded checksums on load.  The registry is immutable
-after load and safe for unrestricted concurrent reads.
+The dataset ships as human-auditable CSV files under ``ropa_dpv/data/``.
+Each file is verified on load against its SHA-256 digest in
+``data/SHA256SUMS``, a manifest in the format ``sha256sum`` writes (one
+``<64 lowercase hex digits>  <file name>`` line per file), so
+``sha256sum -c SHA256SUMS`` checks the same files.  The registry is
+immutable after load and safe for unrestricted concurrent reads.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
-import json
 import os
 import re
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple
+
+# The interpreter's own SHA-256 (``_sha2`` from 3.12 on, ``_sha256`` on 3.11):
+# ``hashlib`` loads OpenSSL, which adds about 4 ms to every process's start-up.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:  # CPython built without its own hashes
+        from hashlib import sha256 as _sha256
 
 from .errors import EmbeddedDataCorrupt, UnknownConcept
 from .records import Multiplicity, ValueKind, ValueSchema
@@ -309,14 +320,23 @@ def _read_packaged(*parts: str) -> bytes:
 
 
 def read_verified(*parts: str) -> bytes:
-    """Read a packaged data file and verify it against the checksum manifest."""
-    manifest = json.loads(_read_packaged("checksums.json").decode("utf-8"))
+    """Read a packaged data file and verify it against ``SHA256SUMS``."""
+    try:
+        lines = _read_packaged("SHA256SUMS").decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise EmbeddedDataCorrupt("SHA256SUMS: not UTF-8") from exc
+    manifest: dict[str, str] = {}
+    for line in lines:
+        digest, sep, file_name = line.partition("  ")
+        if not sep or len(digest) != 64 or digest.strip("0123456789abcdef"):
+            raise EmbeddedDataCorrupt(f"SHA256SUMS: malformed line {line!r}")
+        manifest[file_name] = digest
     name = "/".join(parts)
     data = _read_packaged(*parts)
     expected = manifest.get(name)
     if expected is None:
         raise EmbeddedDataCorrupt(f"no checksum recorded for {name}")
-    actual = hashlib.sha256(data).hexdigest()
+    actual = _sha256(data).hexdigest()
     if actual != expected:
         raise EmbeddedDataCorrupt(
             f"checksum mismatch for {name}: expected {expected}, got {actual}"

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, text/JSON agreement."""
 
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -9,9 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import ropa_dpv
+import ropa_dpv.records
+import ropa_dpv.registry
 from ropa_dpv import (
     Jurisdiction,
     RuleId,
@@ -473,22 +478,61 @@ def test_start_up_imports_no_importlib_resources():
 def test_a_command_loads_only_its_own_layers(tmp_path):
     record = new_record("pa-1", "Acme", CREATED)
     text, _ = export_template(record, default_config(REGISTRY, Jurisdiction.CY), REGISTRY)
-    template, register, graph = tmp_path / "cy.csv", tmp_path / "register.csv", tmp_path / "ttl"
+    template, register, graph = tmp_path / "cy.csv", tmp_path / "register.csv", tmp_path / "jsonld"
     template.write_text(text, encoding="utf-8", newline="")
+    # Neither OpenSSL (through hashlib) nor the json package is loaded: the
+    # registry and the JSON writers use the interpreter's built-in modules.
     code = (
         "import sys\n"
         "from ropa_dpv.cli import cli_main\n"
-        "layers = {'ropa_dpv.rdf_export', 'ropa_dpv.validation', 'ropa_dpv.queries', 'urllib'}\n"
+        "layers = {'ropa_dpv.rdf_export', 'ropa_dpv.validation', 'ropa_dpv.queries', 'urllib',\n"
+        "          '_hashlib', 'hashlib', 'json'}\n"
         "assert cli_main(['import', '--input', sys.argv[1], '--template', 'CY',\n"
-        "                 '--out', sys.argv[2]]) == 0\n"
-        "print(sorted(layers & set(sys.modules)))\n"
-        "assert cli_main(['export', '--input', sys.argv[2], '--format', 'turtle',\n"
-        "                 '--out', sys.argv[3]]) == 0\n"
-        "print(sorted(layers & set(sys.modules)))\n"
+        "                 '--out', sys.argv[2], '--json']) == 0\n"
+        "print(sorted(layers & set(sys.modules)), file=sys.stderr)\n"
+        "assert cli_main(['export', '--input', sys.argv[2], '--format', 'jsonld',\n"
+        "                 '--out', sys.argv[3], '--json']) == 0\n"
+        "print(sorted(layers & set(sys.modules)), file=sys.stderr)\n"
     )
     result = _run_child(code, str(template), str(register), str(graph))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [b"[]", b"['ropa_dpv.rdf_export', 'urllib']"]
+    assert result.stderr.splitlines() == [b"[]", b"['ropa_dpv.rdf_export', 'urllib']"]
+
+
+def test_commands_fall_back_without_the_builtin_hash_and_json_modules(tmp_path):
+    # Where CPython was built without its own SHA-256 or without ``_json``,
+    # the registry falls back to hashlib and the JSON writers to json.encoder.
+    record = set_field(
+        new_record("pa-1", 'Acm\u00e9 "Ltd"\t\U0001F600', CREATED), REGISTRY,
+        "purposes-of-processing", field_values(REGISTRY, "purposes-of-processing", "marketing"),
+    )
+    path = tmp_path / "register.csv"
+    path.write_text(write_canonical([record], REGISTRY), encoding="utf-8", newline="")
+    code = (
+        "import sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules.update(dict.fromkeys(['_sha2', '_sha256', '_json']))\n"
+        "from ropa_dpv.cli import cli_main\n"
+        "assert cli_main(['stats', '--json']) == 0\n"
+        "assert cli_main(['export', '--input', sys.argv[2], '--format', 'jsonld']) == 0\n"
+        "print('hashlib' in sys.modules, file=sys.stderr)\n"
+    )
+    blocked = _run_child(code, "blocked", str(path))
+    builtin = _run_child(code, "builtin", str(path))
+    assert blocked.returncode == builtin.returncode == 0, blocked.stderr + builtin.stderr
+    assert blocked.stdout == builtin.stdout
+    assert '"@value": "Acm\u00e9 \\"Ltd\\"\\t\U0001F600"'.encode() in builtin.stdout
+    assert (blocked.stderr, builtin.stderr) == (b"True\n", b"False\n")
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's _json")
+def test_json_strings_are_escaped_by_the_function_json_encoder_binds():
+    assert ropa_dpv.records._json is json.encoder.c_encode_basestring
+
+
+@given(st.binary())
+def test_registry_digest_is_sha256(data):
+    assert ropa_dpv.registry._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_package_names_are_their_modules_objects():

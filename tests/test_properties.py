@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
@@ -35,6 +36,7 @@ from ropa_dpv import (
     write_canonical,
 )
 from ropa_dpv.cli import _json_text
+from ropa_dpv.records import has_surrogate
 from ropa_dpv.template_io import CANONICAL_HEADER
 from conftest import CREATED, sample_values
 from rdf_oracle import canonical_triples, invalid_literals, parse_jsonld, parse_turtle
@@ -509,3 +511,17 @@ def test_json_text_matches_json_dumps(value, shared):
     document = {"value": value, "shared": shared, "nested": [shared, {"deeper": [shared]}]}
     for obj in (value, document):
         assert _json_text(obj) == json.dumps(obj, indent=2, ensure_ascii=False)
+
+
+@given(
+    st.text(
+        alphabet=st.one_of(
+            st.characters(max_codepoint=0x7F),
+            st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+            st.characters(min_codepoint=0x10000),
+            st.characters(),
+        )
+    )
+)
+def test_has_surrogate_matches_a_surrogate_search(text):
+    assert has_surrogate(text) == (re.search("[\ud800-\udfff]", text) is not None)

@@ -16,6 +16,7 @@ from ropa_dpv import (
     load_registry,
 )
 import ropa_dpv.registry as registry_module
+from ropa_dpv.cli import cli_main
 
 # Golden values counted by brute force over the embedded CSV (see
 # tests/test_acceptance.py for the recount).
@@ -192,6 +193,34 @@ def test_tampered_data_raises(monkeypatch, registry):
     monkeypatch.setattr(registry_module, "_read_packaged", tampered)
     with pytest.raises(EmbeddedDataCorrupt):
         load_registry()
+
+
+_DIGEST = "0" * 64
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        b"\xff" + _DIGEST.encode() + b"  concept_table.csv\n",
+        _DIGEST.encode() + b" concept_table.csv\n",
+        b"0" * 63 + b"  concept_table.csv\n",
+        _DIGEST.upper().replace("0", "A").encode() + b"  concept_table.csv\n",
+        _DIGEST.encode() + b"  other.csv\n",
+    ],
+    ids=["not-utf8", "one-space", "short-digest", "uppercase-digest", "other-files-only"],
+)
+def test_corrupt_manifest_raises_and_exits_two(monkeypatch, capsys, manifest):
+    original = registry_module._read_packaged
+
+    def corrupt(*parts):
+        return manifest if parts == ("SHA256SUMS",) else original(*parts)
+
+    monkeypatch.setattr(registry_module, "_read_packaged", corrupt)
+    with pytest.raises(EmbeddedDataCorrupt):
+        load_registry()
+    assert cli_main(["stats"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ropa: error: ") and err.count("\n") == 1, err
 
 
 def test_missing_data_file_raises():
