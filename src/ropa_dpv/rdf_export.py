@@ -29,8 +29,10 @@ Both serializers are byte-deterministic for equal graphs:
   JSON text, which is not N-Triples order (``"a\\b"`` sorts before
   ``"a\\u0001"`` as JSON and after it as N-Triples).
 
-Each distinct node is built and validated once per graph, and rendered once
-per serialization.  The JSON-LD text is written directly, not by
+Each invariant of a graph is checked once, where it enters: ``Node`` checks
+its items, ``Triple`` its subject and predicate kinds, and ``TripleGraph`` its
+namespace table.  Each distinct node is built once per graph, and rendered
+once per serialization.  The JSON-LD text is written directly, not by
 ``json.dumps``; ``tests/rdf_reference.py`` keeps the ``json.dumps(indent=2)``
 serializer (and the Turtle one that renders every term where it is used),
 and the tests require the same bytes from both.
@@ -122,22 +124,14 @@ class _TripleItems(NamedTuple):
     object: Node
 
 
-def _check_subject(node: Node) -> None:
-    if node.kind is NodeKind.LITERAL:
-        raise ValueError("triple subjects cannot be literals")
-
-
-def _check_predicate(node: Node) -> None:
-    if node.kind is not NodeKind.IRI:
-        raise ValueError("triple predicates must be IRIs")
-
-
 class Triple(_TripleItems):
     __slots__ = ()
 
     def __new__(cls, subject: Node, predicate: Node, object: Node) -> "Triple":
-        _check_subject(subject)
-        _check_predicate(predicate)
+        if subject.kind is NodeKind.LITERAL:
+            raise ValueError("triple subjects cannot be literals")
+        if predicate.kind is not NodeKind.IRI:
+            raise ValueError("triple predicates must be IRIs")
         return tuple.__new__(cls, (subject, predicate, object))
 
     @classmethod
@@ -155,10 +149,11 @@ class TripleGraph:
     share one pair set.  ``triples`` is the frozenset of :class:`Triple`
     built, and so checked, from the groups when it is first read, and kept.
 
-    Every graph is made by ``_grouped``, the one place that checks subjects
-    and predicates and sets the fields: the constructor groups its triples
-    and passes them on, and ``records_to_graph``, pickle and copy pass their
-    groups directly.
+    Each invariant is checked once, where it enters: ``Node`` checks its
+    items, ``Triple`` its subject and predicate kinds (the constructor passes
+    plain 3-tuples through ``Triple._make``), and ``_grouped``, which makes
+    every graph, the namespace table.  ``records_to_graph``, pickle and copy
+    pass groups of checked nodes to ``_grouped`` directly.
     """
 
     __slots__ = ("_groups", "namespaces", "_triples")
@@ -167,7 +162,7 @@ class TripleGraph:
         cls, triples: Iterable[Triple], namespaces: tuple[tuple[str, str], ...]
     ) -> "TripleGraph":
         groups: dict[Node, set[tuple[Node, Node]]] = {}
-        for subject, predicate, obj in triples:
+        for subject, predicate, obj in map(Triple._make, triples):
             groups.setdefault(subject, set()).add((predicate, obj))
         return cls._grouped({s: frozenset(pairs) for s, pairs in groups.items()}, namespaces)
 
@@ -175,15 +170,15 @@ class TripleGraph:
     def _grouped(
         cls, groups: dict[Node, frozenset[tuple[Node, Node]]], namespaces
     ) -> "TripleGraph":
-        """A graph holding ``groups``, after ``Triple``'s checks are run once
-        per subject and once per distinct pair set."""
-        checked: set[int] = set()
-        for subject, pairs in groups.items():
-            _check_subject(subject)
-            if id(pairs) not in checked:
-                checked.add(id(pairs))
-                for predicate, _ in pairs:
-                    _check_predicate(predicate)
+        """A graph holding ``groups`` of checked nodes.  The namespace table's
+        prefixes must be distinct and match ``_LOCAL_NAME_RE``, and its
+        namespaces must be absolute IRIs."""
+        prefixes = [prefix for prefix, _ in namespaces]
+        for prefix, ns in namespaces:
+            if not _LOCAL_NAME_RE.fullmatch(prefix) or prefixes.count(prefix) > 1:
+                raise ValueError(f"invalid or repeated prefix: {prefix!r}")
+            if not is_absolute_iri(ns):
+                raise ValueError(f"not an absolute IRI: {ns!r}")
         graph = object.__new__(cls)
         object.__setattr__(graph, "_groups", groups)
         object.__setattr__(graph, "namespaces", namespaces)
@@ -450,18 +445,16 @@ def serialize_jsonld(graph: TripleGraph) -> str:
 
     The text is what ``json.dumps(document, indent=2, ensure_ascii=False)``
     gives, written directly: each distinct pair set's members are rendered
-    once, each distinct object's entry once, and each subject adds its
-    ``"@id"`` member in its sorted place.
+    once, each distinct object's entry once, and each subject puts its
+    ``"@id"`` member, which sorts first, in front of them.
     """
     namespaces = graph.namespaces
     rdf_type = RDF_NS + "type"
     keys: dict[str, str] = {}  # predicate IRI -> JSON key
     entries: dict[int, tuple[str, str]] = {}  # id(object) -> (sort text, entry text)
-    # id(pair set) -> the members before and after "@id", each with its separator.
-    blocks: dict[int, tuple[str, str]] = {}
-    sep = ",\n      "
+    blocks: dict[int, str] = {}  # id(pair set) -> its members, each after a separator
 
-    def block(pairs: frozenset[tuple[Node, Node]]) -> tuple[str, str]:
+    def block(pairs: frozenset[tuple[Node, Node]]) -> str:
         by_key: dict[str, list[tuple[str, str]]] = {}
         for predicate, obj in pairs:
             if predicate.value == rdf_type and obj.kind is NodeKind.IRI:
@@ -483,30 +476,22 @@ def serialize_jsonld(graph: TripleGraph) -> str:
                     if entry is None:
                         entry = entries[id(obj)] = _jsonld_entry(obj, namespaces)
             by_key.setdefault(key, []).append(entry)
-        members = [
-            (key, f"{_json(key)}: " + _indented("[", [t for _, t in sorted(group)], "]", " " * 6))
+        # Every key sorts after "@id": it is "@type", or a prefixed name or an
+        # absolute IRI, both of which start with a letter.
+        return "".join(
+            f",\n      {_json(key)}: " + _indented("[", [t for _, t in sorted(group)], "]", " " * 6)
             for key, group in sorted(by_key.items())
-        ]
-        # No key equals "@id": predicate IRIs and prefixed names hold a colon.
-        return (
-            "".join(m + sep for key, m in members if key < "@id"),
-            "".join(sep + m for key, m in members if key > "@id"),
         )
 
     graph_nodes = []
     for subject, pairs in graph._groups.items():
-        parts = blocks.get(id(pairs))
-        if parts is None:
-            parts = blocks[id(pairs)] = block(pairs)
-        if subject.kind is NodeKind.BLANK:
-            sid = f"_:{subject.value}"
-            id_member = f'"@id": "{sid}"'
-        else:
-            sid = subject.value
-            id_member = '"@id": ' + _json(sid)
-        graph_nodes.append((sid, "{\n      " + parts[0] + id_member + parts[1] + "\n    }"))
+        members = blocks.get(id(pairs))
+        if members is None:
+            members = blocks[id(pairs)] = block(pairs)
+        sid = f"_:{subject.value}" if subject.kind is NodeKind.BLANK else subject.value
+        graph_nodes.append((sid, '{\n      "@id": ' + _json(sid) + members + "\n    }"))
     graph_nodes.sort(key=itemgetter(0))
-    context = [f"{_json(prefix)}: {_json(iri)}" for prefix, iri in dict(namespaces).items()]
+    context = [f"{_json(prefix)}: {_json(iri)}" for prefix, iri in namespaces]
     document = [
         '"@context": ' + _indented("{", context, "}", "  "),
         '"@graph": ' + _indented("[", [text for _, text in graph_nodes], "]", "  "),

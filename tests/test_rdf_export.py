@@ -264,6 +264,38 @@ def test_node_and_triple_validation():
         TripleGraph([(iri, lit, lit)], namespaces)
 
 
+@pytest.mark.parametrize(
+    "namespaces",
+    [
+        (("ex", "urn:x:"), ("dpv", DPV_NS), ("ex", "urn:y:")),
+        *[((prefix, DPV_NS),) for prefix in ["", "1x", "a b", "@a", "ex:"]],
+        *[(("dpv", DPV_NS), ("ex", ns)) for ns in ["not an iri", "", "urn:"]],
+    ],
+    ids=["repeated-prefix", "empty-prefix", "digit-prefix", "space-prefix", "at-prefix",
+         "colon-prefix", "not-an-iri", "empty-iri", "scheme-only-iri"],
+)
+def test_graph_rejects_a_bad_namespace_table(namespaces):
+    with pytest.raises(ValueError):
+        TripleGraph(frozenset(), namespaces)
+
+
+def test_exporters_reject_a_bad_extension_namespace(registry):
+    with pytest.raises(ValueError, match="not an absolute IRI: 'not an iri'"):
+        empty_graph(ropaex="not an iri")
+    with pytest.raises(ValueError, match="not an absolute IRI: 'not an iri'"):
+        records_to_graph([], registry, ropaex="not an iri")
+
+
+def test_graph_accepts_two_prefixes_on_one_namespace(registry, golden_record):
+    assert TripleGraph(frozenset(), ()).namespaces == ()
+    namespaces = (("dpv", DPV_NS), ("ropaex", DPV_NS))
+    graph = TripleGraph(to_graph(golden_record, registry, ropaex=DPV_NS).triples, namespaces)
+    assert graph.namespaces == namespaces
+    assert parse_turtle(serialize_turtle(graph)) == canonical_triples(graph)
+    assert parse_jsonld(serialize_jsonld(graph)) == canonical_triples(graph)
+    _assert_reference_bytes(graph)
+
+
 def test_graph_is_duplicate_free(registry):
     record = new_record("pa-1", "Acme", CREATED)
     record = set_field(
@@ -348,7 +380,9 @@ _literal = st.one_of(
 _NAMESPACES = [
     empty_graph().namespaces,
     (),
-    (("ex", "https://other.example/"), ("dpv", DPV_NS), ("ex", "urn:x:")),
+    # Overlapping namespaces: the first one that matches compacts an IRI.
+    (("ex", "https://other.example/"), ("dpv", DPV_NS), ("ex2", "urn:x:"),
+     ("exp", "https://other.example/p#")),
 ]
 
 
@@ -368,6 +402,36 @@ def _assert_reference_bytes(graph):
 def test_hand_built_graphs_serialize_as_reference(triples, namespaces):
     # Hypothesis builds equal nodes as distinct objects, too.
     _assert_reference_bytes(TripleGraph(frozenset(triples), namespaces))
+
+
+_GOOD_PREFIXES, _BAD_PREFIXES = ["ex", "ex2", "dpv", "a-b_1"], ["", "1x", "a b", "@a", "ex:"]
+_GOOD_NS = [DPV_NS, "urn:x:", "https://other.example/", "https://other.example/p#"]
+_BAD_NS = ["not an iri", "", "urn:"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    triples=st.lists(
+        st.builds(Triple, st.one_of(_iri, _blank), _iri, st.one_of(_iri, _blank, _literal)),
+        max_size=10,
+    ),
+    namespaces=st.lists(st.tuples(
+        st.sampled_from(_GOOD_PREFIXES + _BAD_PREFIXES), st.sampled_from(_GOOD_NS + _BAD_NS)
+    ), max_size=4).map(tuple),
+)
+def test_graph_accepts_exactly_the_namespace_tables_it_writes_back(triples, namespaces):
+    prefixes = [prefix for prefix, _ in namespaces]
+    valid = len(set(prefixes)) == len(prefixes) and all(
+        prefix in _GOOD_PREFIXES and ns in _GOOD_NS for prefix, ns in namespaces
+    )
+    if not valid:
+        with pytest.raises(ValueError):
+            TripleGraph(frozenset(triples), namespaces)
+        return
+    graph = TripleGraph(frozenset(triples), namespaces)
+    assert parse_turtle(serialize_turtle(graph)) == canonical_triples(graph)
+    assert parse_jsonld(serialize_jsonld(graph)) == canonical_triples(graph)
+    _assert_reference_bytes(graph)
 
 
 def _graph(*triples, namespaces=empty_graph().namespaces):
