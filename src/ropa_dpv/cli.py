@@ -136,34 +136,36 @@ def _json_text(value) -> str:
     Each distinct dict or list is rendered once per indentation: the memo is
     keyed by its id, which ``value`` keeps alive until the text is done.
     """
-    memo: dict[tuple[int, str], str] = {}
+    return _json_value(value, "", {})
 
-    def text(value, pad: str) -> str:
-        if isinstance(value, str):
-            return _json(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        key = (id(value), pad)
-        done = memo.get(key)
-        if done is None:
-            inner = pad + "  "
-            if isinstance(value, dict):
-                items = [f"{_json(k)}: {text(v, inner)}" for k, v in value.items()]
-                done = _indented("{", items, "}", pad)
-            elif isinstance(value, (list, tuple)):
-                done = _indented("[", [text(v, inner) for v in value], "]", pad)
-            else:
-                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-            memo[key] = done
-        return done
 
-    return text(value, "")
+def _json_value(value, pad: str, memo: dict[tuple[int, str], str]) -> str:
+    # A module-level function, not a closure over ``memo``: a nested function
+    # that calls itself is a reference cycle, which would keep the memo and
+    # every rendered string alive until the cyclic collector runs.
+    if isinstance(value, str):
+        return _json(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    key = (id(value), pad)
+    done = memo.get(key)
+    if done is None:
+        inner = pad + "  "
+        if isinstance(value, dict):
+            items = [f"{_json(k)}: {_json_value(v, inner, memo)}" for k, v in value.items()]
+            done = _indented("{", items, "}", pad)
+        elif isinstance(value, (list, tuple)):
+            done = _indented("[", [_json_value(v, inner, memo) for v in value], "]", pad)
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        memo[key] = done
+    return done
 
 
 def _emit_json(command: str, results: list) -> None:
@@ -302,16 +304,19 @@ def _cmd_convert(args) -> int:
         results.append((record.record_id, loss))
     _write_file(args.out, write_canonical(converted, registry))
     if args.json:
+        # Lost entries repeat across records: each distinct one is rendered once.
+        as_dict = {
+            lost: {"concept": lost[0], "reason": lost[1].value}
+            for _, loss in results
+            for lost in loss.lost
+        }
         _emit_json(
             "convert",
             [
                 {
                     "record_id": record_id,
                     "retained_count": loss.retained_count,
-                    "lost": [
-                        {"concept": cid, "reason": reason.value}
-                        for cid, reason in loss.lost
-                    ],
+                    "lost": [as_dict[lost] for lost in loss.lost],
                 }
                 for record_id, loss in results
             ],
@@ -433,6 +438,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # One command runs per process, and no command leaves garbage that grows
+    # with its input (test_cli.py's test_no_command_leaves_garbage_that_grows),
+    # so the cyclic collector's passes would only rescan live objects.
+    gc.disable()
     # stdout carries the same bytes as --out, and stderr the same diagnostics,
     # whatever the locale
     sys.stdout.reconfigure(encoding="utf-8")

@@ -28,7 +28,7 @@ from ropa_dpv import (
     set_field,
     write_canonical,
 )
-from ropa_dpv.cli import _RULE_IDS, cli_main
+from ropa_dpv.cli import _RULE_IDS, _json_text, cli_main
 from conftest import CREATED, populate, random_record
 
 REGISTRY = load_registry()
@@ -160,6 +160,70 @@ def test_commands_repeat_in_one_process(capsys, tmp_path, registry, argv):
         out.unlink(missing_ok=True)
     assert runs[0] == runs[1]
     assert "ropa: warning: line" in runs[0][2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats"],
+        ["stats", "--json"],
+        ["validate", "--input", "{register}", "--article30"],
+        ["validate", "--input", "{register}", "--profile", "BE", "--json"],
+        ["query", "--input", "{register}", "--rule", "MISSING_MANDATORY"],
+        ["query", "--input", "{register}", "--rule", "MISSING_MANDATORY", "--json"],
+        ["convert", "--input", "{register}", "--from", "UK", "--to", "CY", "--out", "{out}"],
+        ["convert", "--input", "{register}", "--from", "UK", "--to", "CY", "--out", "{out}",
+         "--json"],
+        ["export", "--input", "{register}", "--format", "turtle"],
+        ["export", "--input", "{register}", "--format", "jsonld", "--out", "{out}", "--json"],
+        ["import", "--input", "{template}", "--template", "CY", "--out", "{out}"],
+        ["import", "--input", "{template}", "--template", "CY", "--out", "{out}", "--json"],
+    ],
+    ids=["stats", "stats-json", "validate", "validate-json", "query", "query-json",
+         "convert", "convert-json", "turtle", "jsonld-json", "import", "import-json"],
+)
+def test_no_command_leaves_garbage_that_grows(capsys, tmp_path, registry, argv):
+    # The entry point runs a command with the cyclic collector off, which
+    # holds memory only if what a command leaves for the collector does not
+    # grow with its input.
+    config = default_config(registry, Jurisdiction.CY)
+    paths = {name: tmp_path / name for name in ("register", "template", "out")}
+    left = []
+    for count in (5, 20):
+        rng = random.Random(count)
+        records = [random_record(registry, rng, f"pa-{i}") for i in range(count)]
+        # Rows the parser drops with a warning, one per record.
+        bad = "".join(f"px-{i},retention-deletion-periods,0,DURATION,soon\n" for i in range(count))
+        paths["register"].write_text(
+            write_canonical(records, registry) + bad, encoding="utf-8", newline=""
+        )
+        rows = [export_template(record, config, registry)[0] for record in records]
+        paths["template"].write_text(
+            rows[0] + "".join(row.split("\n", 1)[1] for row in rows[1:]),
+            encoding="utf-8", newline="",
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            code = cli_main([a.format(**paths) for a in argv])
+            left.append(gc.collect())
+        finally:
+            gc.enable()
+        assert code in (0, 1), capsys.readouterr().err
+        capsys.readouterr()
+    assert left[0] == left[1]
+
+
+def test_json_text_leaves_no_reference_cycle():
+    value = {"results": [{"id": i, "tags": ["a", None, True]} for i in range(100)]}
+    gc.collect()
+    gc.disable()
+    try:
+        text = _json_text(value)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == json.dumps(value, indent=2, ensure_ascii=False)
 
 
 def test_export_turtle_stdout_deterministic(capsys, mandatory_record_file):
@@ -554,20 +618,22 @@ def test_package_names_are_their_modules_objects():
 def test_main_freezes_the_collector_before_exit():
     code = (
         "import atexit, gc, sys\n"
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), gc.isenabled()))\n"
         "sys.argv = ['ropa', 'stats']\n"
         "from ropa_dpv.cli import main\n"
         "main()\n"
     )
     result = _run_child(code)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout.rpartition(b"frozen ")[2]) > 0
+    frozen, enabled = result.stdout.rpartition(b"frozen ")[2].split()
+    assert int(frozen) > 0
+    assert enabled == b"False"
 
 
 def test_cli_main_leaves_the_collector_alone(capsys):
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert cli_main(["stats"]) == 0
-    assert gc.get_freeze_count() == frozen
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
 
 def test_usage_error_exit_two(capsys):
