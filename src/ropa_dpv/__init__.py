@@ -18,7 +18,7 @@ _EXPORTS = {
     "errors": (
         "RopaError", "EmbeddedDataCorrupt", "UnknownConcept", "InvalidRecordId",
         "EmptyControllerName", "SchemaViolation", "MultiplicityViolation",
-        "MalformedCsv", "DuplicateCell", "HeaderMismatch",
+        "MalformedCsv", "DuplicateCell", "HeaderMismatch", "IriConfusedWithPrefix",
     ),
     "registry": (
         "ConceptRegistry", "ConceptDescriptor", "CoveragePair", "CoverageStat",

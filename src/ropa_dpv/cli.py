@@ -17,10 +17,10 @@ machine-readable envelope with identical finding/hit content.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .errors import RopaError
@@ -47,12 +47,145 @@ _RULE_IDS = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # noqa: D102 - argparse hook
-        self.exit(2, f"ropa: error: {message}\n")
+class _Option(NamedTuple):
+    """A long option: ``--flag`` when ``flag``, else ``--name value``."""
+
+    name: str
+    dest: str
+    flag: bool = False
+    choices: Sequence[str] | None = None
+    required: bool = False
+    help: str | None = None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    help: str
+    options: tuple[_Option, ...]
+    #: The dests of a group of which exactly one option must be given.
+    one_of: tuple[str, ...] = ()
+    description: str | None = None
+
+
+_INPUT = _Option("--input", "input", required=True, help="canonical interchange CSV")
+
+
+def _json_flag(help: str) -> _Option:
+    return _Option("--json", "json", flag=True, help=help)
+
+
+#: Every subcommand, with its options in the order of its help text.  Both
+#: ``_build_parser`` and ``_match`` read it.
+_TABLE = {
+    "stats": _Command(
+        "registry mapping summary and self-check", (_json_flag("machine-readable output"),)
+    ),
+    "validate": _Command(
+        "validate canonical records",
+        (
+            _INPUT,
+            _Option("--article30", "article30", flag=True,
+                    help="check Article 30 mandatory concepts"),
+            _Option("--profile", "profile", choices=_JURISDICTION_CODES,
+                    help="check one regulator's template"),
+            _json_flag("machine-readable output"),
+        ),
+        one_of=("article30", "profile"),
+    ),
+    "convert": _Command(
+        "convert records between template shapes",
+        (
+            _INPUT,
+            # The source template is named for the user's sake; only --to shapes the output.
+            _Option("--from", "from_jurisdiction", choices=_JURISDICTION_CODES, required=True),
+            _Option("--to", "to_jurisdiction", choices=_JURISDICTION_CODES, required=True),
+            _Option("--out", "out", required=True, help="output canonical CSV path"),
+            _json_flag("machine-readable loss report"),
+        ),
+    ),
+    "export": _Command(
+        "export records as RDF",
+        (
+            _INPUT,
+            _Option("--format", "format", choices=["turtle", "jsonld"], required=True),
+            _Option("--base", "base", help="base IRI for record nodes"),
+            _Option("--ropaex", "ropaex", help="extension namespace IRI"),
+            _Option("--out", "out", help="output path (default: stdout)"),
+            _json_flag("machine-readable summary"),
+        ),
+    ),
+    "query": _Command(
+        "cross-record compliance queries",
+        (
+            _INPUT,
+            _Option("--rule", "rule", choices=_RULE_IDS, required=True),
+            _Option("--jurisdiction", "jurisdiction", choices=_JURISDICTION_CODES),
+            _json_flag("machine-readable output"),
+        ),
+        description="TRANSFER_WITHOUT_SAFEGUARDS and SPECIAL_CATEGORY_WITHOUT_BASIS "
+        "are artifact-defined heuristics derived from the registry's "
+        "mandatory/optional structure, not statutory tests.",
+    ),
+    "import": _Command(
+        "import a regulator-template CSV",
+        (
+            _Option("--input", "input", required=True, help="template-shaped CSV"),
+            _Option("--template", "template", choices=_JURISDICTION_CODES, required=True),
+            _Option("--out", "out", help="output canonical CSV path (default: stdout)"),
+            _json_flag("machine-readable summary"),
+        ),
+    ),
+}
+
+
+def _match(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace that ``_build_parser().parse_args(argv)`` returns, for an
+    ``argv`` of one plain shape; None for any other.
+
+    The shape: a command, then exact long options, each given at most once,
+    as ``--flag`` or ``--name value`` with a value that does not start with
+    ``-``; valid choices, every required option, and exactly one option of
+    each required group.  Every other ``argv`` (help, ``--version``,
+    abbreviations, ``--name=value``, repeats, ``--``, errors) is left to
+    argparse, which stays the only source of help and error text.
+    """
+    command = _TABLE.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {option.name: option for option in command.options}
+    given: dict[str, str | bool] = {}
+    i = 1
+    while i < len(argv):
+        option = options.get(argv[i])
+        if option is None or option.dest in given:
+            return None
+        if option.flag:
+            given[option.dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv):
+            return None
+        value = argv[i + 1]
+        if value.startswith("-") or (option.choices is not None and value not in option.choices):
+            return None
+        given[option.dest] = value
+        i += 2
+    if any(option.required and option.dest not in given for option in command.options):
+        return None
+    if command.one_of and sum(dest in given for dest in command.one_of) != 1:
+        return None
+    unset = {option.dest: False if option.flag else None for option in command.options}
+    return SimpleNamespace(command=argv[0], **{**unset, **given})
+
+
+def _build_parser():
+    # Imported here: a command line that ``_match`` reads loads neither
+    # argparse nor the gettext, locale and shutil modules it brings.
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # noqa: D102 - argparse hook
+            self.exit(2, f"ropa: error: {message}\n")
+
     parser = _Parser(
         prog="ropa",
         description="Registry, validation, conversion and RDF export for "
@@ -60,59 +193,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ropa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("stats", help="registry mapping summary and self-check")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("validate", help="validate canonical records")
-    p.add_argument("--input", required=True, help="canonical interchange CSV")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--article30", action="store_true", help="check Article 30 mandatory concepts"
-    )
-    mode.add_argument(
-        "--profile", choices=_JURISDICTION_CODES, help="check one regulator's template"
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("convert", help="convert records between template shapes")
-    p.add_argument("--input", required=True, help="canonical interchange CSV")
-    # The source template is named for the user's sake; only --to shapes the output.
-    p.add_argument(
-        "--from", dest="from_jurisdiction", required=True, choices=_JURISDICTION_CODES
-    )
-    p.add_argument(
-        "--to", dest="to_jurisdiction", required=True, choices=_JURISDICTION_CODES
-    )
-    p.add_argument("--out", required=True, help="output canonical CSV path")
-    p.add_argument("--json", action="store_true", help="machine-readable loss report")
-
-    p = sub.add_parser("export", help="export records as RDF")
-    p.add_argument("--input", required=True, help="canonical interchange CSV")
-    p.add_argument("--format", required=True, choices=["turtle", "jsonld"])
-    p.add_argument("--base", help="base IRI for record nodes")
-    p.add_argument("--ropaex", help="extension namespace IRI")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--json", action="store_true", help="machine-readable summary")
-
-    p = sub.add_parser(
-        "query",
-        help="cross-record compliance queries",
-        description="TRANSFER_WITHOUT_SAFEGUARDS and SPECIAL_CATEGORY_WITHOUT_BASIS "
-        "are artifact-defined heuristics derived from the registry's "
-        "mandatory/optional structure, not statutory tests.",
-    )
-    p.add_argument("--input", required=True, help="canonical interchange CSV")
-    p.add_argument("--rule", required=True, choices=_RULE_IDS)
-    p.add_argument("--jurisdiction", choices=_JURISDICTION_CODES)
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("import", help="import a regulator-template CSV")
-    p.add_argument("--input", required=True, help="template-shaped CSV")
-    p.add_argument("--template", required=True, choices=_JURISDICTION_CODES)
-    p.add_argument("--out", help="output canonical CSV path (default: stdout)")
-    p.add_argument("--json", action="store_true", help="machine-readable summary")
-
+    for name, command in _TABLE.items():
+        p = sub.add_parser(name, help=command.help, description=command.description)
+        group = None
+        for option in command.options:
+            target = p
+            if option.dest in command.one_of:
+                if group is None:
+                    group = p.add_mutually_exclusive_group(required=True)
+                target = group
+            if option.flag:
+                target.add_argument(option.name, action="store_true", help=option.help)
+            else:
+                target.add_argument(
+                    option.name,
+                    dest=option.dest,
+                    required=option.required,
+                    choices=option.choices,
+                    help=option.help,
+                )
     return parser
 
 
@@ -425,11 +524,14 @@ _COMMANDS = {
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _match(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
     except (RopaError, OSError) as exc:

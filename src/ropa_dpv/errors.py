@@ -74,3 +74,20 @@ class HeaderMismatch(RopaError):
             + ", ".join(repr(h) for h in missing)
         )
         self.missing = tuple(missing)
+
+
+class IriConfusedWithPrefix(RopaError):
+    """JSON-LD would read an absolute IRI as a compact IRI of its ``@context``.
+
+    JSON-LD 1.1 expands ``prefix:rest`` through the context when ``prefix`` is
+    one of its terms and ``rest`` does not start with ``//``; its IRI
+    Compaction algorithm stops on such an IRI with the error of this name.
+    """
+
+    def __init__(self, iri: str, prefix: str):
+        super().__init__(
+            f"IRI confused with prefix: JSON-LD would read {iri!r} as a compact IRI "
+            f"of the context prefix {prefix!r}"
+        )
+        self.iri = iri
+        self.prefix = prefix

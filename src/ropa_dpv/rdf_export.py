@@ -48,6 +48,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
+from .errors import IriConfusedWithPrefix
 from .records import FieldValue, RopaRecord, ValueKind, _indented, _json, is_absolute_iri
 from .registry import ConceptRegistry, MappingOutcome
 
@@ -423,15 +424,25 @@ def serialize_turtle(graph: TripleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonld_entry(node: Node, namespaces) -> tuple[str, str]:
+def _verbatim(iri: str, prefixes: set[str]) -> str:
+    """``iri``, to be written uncompacted in JSON-LD whose context defines
+    ``prefixes``; raises ``IriConfusedWithPrefix`` if a processor would read
+    it as a compact IRI."""
+    prefix, _, rest = iri.partition(":")
+    if prefix in prefixes and not rest.startswith("//"):
+        raise IriConfusedWithPrefix(iri, prefix)
+    return iri
+
+
+def _jsonld_entry(node: Node, namespaces, prefixes: set[str]) -> tuple[str, str]:
     """An IRI's or literal's sort text, ``json.dumps(obj, sort_keys=True,
     ensure_ascii=False)``, and its text as an item of an entry list."""
     if node.kind is NodeKind.IRI:
-        members = ['"@id": ' + _json(node.value)]
+        members = ['"@id": ' + _json(_verbatim(node.value, prefixes))]
     else:
         members = ['"@value": ' + _json(node.value)]
         if node.datatype:
-            datatype = _compact(node.datatype, namespaces) or node.datatype
+            datatype = _compact(node.datatype, namespaces) or _verbatim(node.datatype, prefixes)
             members.append('"@type": ' + _json(datatype))
         elif node.language:
             members.append('"@language": ' + _json(node.language))
@@ -447,8 +458,12 @@ def serialize_jsonld(graph: TripleGraph) -> str:
     gives, written directly: each distinct pair set's members are rendered
     once, each distinct object's entry once, and each subject puts its
     ``"@id"`` member, which sorts first, in front of them.
+
+    An IRI that is not compacted is written as it is, and raises
+    ``IriConfusedWithPrefix`` if its scheme is a prefix of the context.
     """
     namespaces = graph.namespaces
+    prefixes = {prefix for prefix, _ in namespaces}
     rdf_type = RDF_NS + "type"
     keys: dict[str, str] = {}  # predicate IRI -> JSON key
     entries: dict[int, tuple[str, str]] = {}  # id(object) -> (sort text, entry text)
@@ -459,13 +474,13 @@ def serialize_jsonld(graph: TripleGraph) -> str:
         for predicate, obj in pairs:
             if predicate.value == rdf_type and obj.kind is NodeKind.IRI:
                 key = "@type"
-                text = _json(_compact(obj.value, namespaces) or obj.value)
+                text = _json(_compact(obj.value, namespaces) or _verbatim(obj.value, prefixes))
                 entry = (text, text)
             else:
                 key = keys.get(predicate.value)
                 if key is None:
                     iri = predicate.value
-                    key = keys[iri] = _compact(iri, namespaces) or iri
+                    key = keys[iri] = _compact(iri, namespaces) or _verbatim(iri, prefixes)
                 if obj.kind is NodeKind.BLANK:
                     entry = (
                         f'{{"@id": "_:{obj.value}"}}',
@@ -474,7 +489,7 @@ def serialize_jsonld(graph: TripleGraph) -> str:
                 else:
                     entry = entries.get(id(obj))
                     if entry is None:
-                        entry = entries[id(obj)] = _jsonld_entry(obj, namespaces)
+                        entry = entries[id(obj)] = _jsonld_entry(obj, namespaces, prefixes)
             by_key.setdefault(key, []).append(entry)
         # Every key sorts after "@id": it is "@type", or a prefixed name or an
         # absolute IRI, both of which start with a letter.
@@ -488,7 +503,10 @@ def serialize_jsonld(graph: TripleGraph) -> str:
         members = blocks.get(id(pairs))
         if members is None:
             members = blocks[id(pairs)] = block(pairs)
-        sid = f"_:{subject.value}" if subject.kind is NodeKind.BLANK else subject.value
+        if subject.kind is NodeKind.BLANK:
+            sid = f"_:{subject.value}"
+        else:
+            sid = _verbatim(subject.value, prefixes)
         graph_nodes.append((sid, '{\n      "@id": ' + _json(sid) + members + "\n    }"))
     graph_nodes.sort(key=itemgetter(0))
     context = [f"{_json(prefix)}: {_json(iri)}" for prefix, iri in namespaces]

@@ -182,9 +182,11 @@ def parse_jsonld(text: str) -> set:
         return name
 
     def node_ref(identifier: str):
+        # "@id" values expand as keys and "@type" values do (JSON-LD 1.1 IRI
+        # Expansion): "dpv:Purpose" names the context's dpv: namespace.
         if identifier.startswith("_:"):
             return ("blank", identifier[2:])
-        return ("iri", identifier)
+        return ("iri", expand(identifier))
 
     triples: set = set()
     for node in document.get("@graph", []):

@@ -1,8 +1,10 @@
 """CLI contract: subcommands, exit codes, text/JSON agreement."""
 
+import contextlib
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import random
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 
 import ropa_dpv
 import ropa_dpv.records
@@ -28,7 +30,15 @@ from ropa_dpv import (
     set_field,
     write_canonical,
 )
-from ropa_dpv.cli import _RULE_IDS, _json_text, cli_main
+from ropa_dpv.cli import (
+    _JURISDICTION_CODES,
+    _RULE_IDS,
+    _TABLE,
+    _build_parser,
+    _json_text,
+    _match,
+    cli_main,
+)
 from conftest import CREATED, populate, random_record
 
 REGISTRY = load_registry()
@@ -546,11 +556,13 @@ def test_a_command_loads_only_its_own_layers(tmp_path):
     template.write_text(text, encoding="utf-8", newline="")
     # Neither OpenSSL (through hashlib) nor the json package is loaded: the
     # registry and the JSON writers use the interpreter's built-in modules.
+    # Nor is argparse, with the gettext, locale and shutil modules it brings:
+    # each command line here is read from the option table.
     code = (
         "import sys\n"
         "from ropa_dpv.cli import cli_main\n"
         "layers = {'ropa_dpv.rdf_export', 'ropa_dpv.validation', 'ropa_dpv.queries', 'urllib',\n"
-        "          '_hashlib', 'hashlib', 'json'}\n"
+        "          '_hashlib', 'hashlib', 'json', 'argparse', 'gettext', 'locale', 'shutil'}\n"
         "assert cli_main(['import', '--input', sys.argv[1], '--template', 'CY',\n"
         "                 '--out', sys.argv[2], '--json']) == 0\n"
         "print(sorted(layers & set(sys.modules)), file=sys.stderr)\n"
@@ -561,6 +573,20 @@ def test_a_command_loads_only_its_own_layers(tmp_path):
     result = _run_child(code, str(template), str(register), str(graph))
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines() == [b"[]", b"['ropa_dpv.rdf_export', 'urllib']"]
+
+
+def test_help_loads_argparse():
+    code = (
+        "import sys\n"
+        "from ropa_dpv.cli import cli_main\n"
+        "assert 'argparse' not in sys.modules\n"
+        "assert cli_main(['validate', '--help']) == 0\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    result = _run_child(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(b"usage: ropa validate [-h] --input INPUT")
+    assert result.stderr == b"['argparse', 'gettext']\n"
 
 
 def test_commands_fall_back_without_the_builtin_hash_and_json_modules(tmp_path):
@@ -645,3 +671,90 @@ def test_usage_error_exit_two(capsys):
 
 def test_validate_requires_mode(capsys, empty_record_file):
     assert cli_main(["validate", "--input", str(empty_record_file)]) == 2
+
+# -- the option table's matcher and argparse ------------------------------------
+
+#: Every command line ``ropabench/run.py`` runs, with its paths shortened.
+_BENCHMARK_ARGV = [
+    "validate --input r.csv --article30",
+    "validate --input r.csv --profile BE --json",
+    "query --input r.csv --rule JURISDICTION_READINESS",
+    "query --input r.csv --rule TRANSFER_WITHOUT_SAFEGUARDS",
+    "export --input r.csv --format turtle",
+    "export --input r.csv --format jsonld --out g.jsonld --json",
+    "convert --input r.csv --from UK --to CY --out c.csv --json",
+    "import --input t.csv --template CY --out o.csv --json",
+]
+
+
+def _readme_argv() -> list[str]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    return [
+        line[len("ropa "):].partition("#")[0]
+        for line in readme.splitlines()
+        if line.startswith("ropa ")
+    ]
+
+
+def _parse(argv):
+    """``vars`` of what argparse reads from ``argv``, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_plain_command_lines_skip_argparse():
+    readme = _readme_argv()
+    assert len(readme) == 7
+    for line in _BENCHMARK_ARGV + readme:
+        argv = line.split()
+        args = _match(argv)
+        assert args is not None, line
+        assert vars(args) == _parse(argv)
+
+
+_OPTIONS = sorted({option.name for command in _TABLE.values() for option in command.options})
+#: Values that start with "-": argparse reads "-" and "-1" as values, and
+#: the others as options.
+_DASHED = ["-", "-1", "--json", "--article30"]
+_VALUES = [
+    *_JURISDICTION_CODES[:2], "XX", "turtle", "jsonld", "Turtle", *_RULE_IDS, "NO_SUCH_RULE",
+    "a.csv", "", *_DASHED,
+]
+_TOKENS = [
+    *_TABLE, "frobnicate", *_OPTIONS, "-h", "--help", "--version", "--",
+    "--inp", "--art", "--prof", "--input=a.csv", "--profile=BE", "--json=", *_VALUES,
+]
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """Up to 10 tokens: a command, its required options and some others in
+    any order, each with a value that is valid or not, and now and then
+    any token put in; or, one time in four, up to 8 tokens of any kind."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=8))
+    name = draw(st.sampled_from([*_TABLE, "frobnicate"]))
+    command = _TABLE.get(name)
+    options = [o for o in (command.options if command else ()) if o.required or draw(st.booleans())]
+    argv = [name]
+    for option in draw(st.permutations(options)):
+        argv.append(option.name)
+        if not option.flag:
+            valid = st.sampled_from(option.choices or ["a.csv"])
+            argv.append(draw(st.one_of(
+                valid, valid, valid, st.sampled_from(_VALUES), st.sampled_from(_DASHED)
+            )))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv[:10]
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argv())
+def test_what_the_matcher_reads_argparse_reads_alike(argv):
+    args = _match(argv)
+    if args is not None:
+        assert vars(args) == _parse(argv)

@@ -1,9 +1,9 @@
 """Robustness: the CLI turns any input file into a report or an error.
 
 Valid files are mutated byte by byte: quotes, CRs, NULs, BOMs, invalid
-UTF-8 and Unicode line separators are inserted, bytes deleted, the file
-cut short.  ``cli_main`` must then exit 0, 1 or 2, with no exception
-escaping and an error message for every exit 2, the canonical file
+UTF-8, Unicode line separators and IRI schemes are inserted, bytes
+deleted, the file cut short.  ``cli_main`` must then exit 0, 1 or 2, with
+no exception escaping and an error message for every exit 2, the canonical file
 written by an ``import`` or ``convert`` that succeeds must read back
 without a warning, and the RDF written by an ``export`` that succeeds must
 parse, under the independent oracle, to the graph of the records read,
@@ -64,9 +64,10 @@ _REGISTER = write_canonical(
 ).encode("utf-8")
 
 #: Inserted bytes: a quote, CR, NUL, a BOM, a byte that is never UTF-8,
-#: U+2028 and U+0085 (which ``str.splitlines`` takes for line ends).
+#: U+2028 and U+0085 (which ``str.splitlines`` takes for line ends), and
+#: IRI schemes that are JSON-LD context prefixes, with and without "//".
 _INSERTS = [b'"', b"\r", b"\0", "\ufeff".encode(), b"\xff", "\u2028".encode(),
-            "\u0085".encode()]
+            "\u0085".encode(), b"dpv:x", b"xsd://x"]
 
 
 @st.composite
