@@ -79,8 +79,8 @@ class HeaderMismatch(RopaError):
 class IriConfusedWithPrefix(RopaError):
     """JSON-LD would read an absolute IRI as a compact IRI of its ``@context``.
 
-    JSON-LD 1.1 expands ``prefix:rest`` through the context when ``prefix`` is
-    one of its terms and ``rest`` does not start with ``//``; its IRI
+    JSON-LD 1.1 expands ``prefix:rest`` when ``prefix`` is a context term whose
+    IRI ends in a gen-delim and ``rest`` does not start with ``//``; its IRI
     Compaction algorithm stops on such an IRI with the error of this name.
     """
 

@@ -29,6 +29,12 @@ Both serializers are byte-deterministic for equal graphs:
   JSON text, which is not N-Triples order (``"a\\b"`` sorts before
   ``"a\\u0001"`` as JSON and after it as N-Triples).
 
+JSON-LD compacts keys, ``@type`` values and datatypes, never ``@id``s, and
+only through the context terms that JSON-LD 1.1 makes prefixes: those whose
+IRI ends in one of ``:/?#[]@`` (Create Term Definition, step 14.2.3).  An IRI
+written in full whose scheme is such a prefix, with no ``//`` after the
+colon, would expand as a compact IRI, and raises ``IriConfusedWithPrefix``.
+
 Each invariant of a graph is checked once, where it enters: ``Node`` checks
 its items, ``Triple`` its subject and predicate kinds, and ``TripleGraph`` its
 namespace table.  Each distinct node is built once per graph, and rendered
@@ -358,7 +364,7 @@ _ESCAPES = {c: f"\\u{c:04X}" for c in range(0x20)} | str.maketrans(
 )
 
 
-def _compact(iri: str, namespaces: Sequence[tuple[str, str]]) -> str | None:
+def _compact(iri: str, namespaces: Iterable[tuple[str, str]]) -> str | None:
     for prefix, ns in namespaces:
         if iri.startswith(ns):
             local = iri[len(ns):]
@@ -367,37 +373,31 @@ def _compact(iri: str, namespaces: Sequence[tuple[str, str]]) -> str | None:
     return None
 
 
-def _term(node: Node, namespaces: Sequence[tuple[str, str]] = ()) -> str:
-    """The N-Triples form of an IRI or literal ``node``, or with ``namespaces``
-    its Turtle form, in which IRIs and datatypes are compacted to prefixed
-    names where possible."""
-    if node.kind is NodeKind.IRI:
-        return _compact(node.value, namespaces) or f"<{node.value}>"
-    rendered = f'"{node.value.translate(_ESCAPES)}"'
-    if node.datatype:
-        return rendered + "^^" + (_compact(node.datatype, namespaces) or f"<{node.datatype}>")
-    if node.language:
-        return f"{rendered}@{node.language}"
-    return rendered
-
-
 def serialize_turtle(graph: TripleGraph) -> str:
     """Valid Turtle: fixed prefix block, then one sorted triple per line."""
     ns = graph.namespaces
     # id(node) -> (N-Triples form, Turtle form), and id(pair set) -> its
     # sorted `` p o .`` rows.  The graph keeps every node and pair set alive,
     # so ids are not reused; equal ones that are distinct objects are
-    # rendered once each, to the same text.  A blank node's two forms are
-    # both ``_:label``.
+    # rendered once each, to the same text.
     forms: dict[int, tuple[str, str]] = {}
     blocks: dict[int, list[str]] = {}
 
     def form(node: Node) -> tuple[str, str]:
+        value = node.value
         if node.kind is NodeKind.BLANK:
-            pair = (f"_:{node.value}",) * 2
+            nt = turtle = f"_:{value}"
+        elif node.kind is NodeKind.IRI:
+            nt = f"<{value}>"
+            turtle = _compact(value, ns) or nt
         else:
-            pair = (_term(node), _term(node, ns))
-        forms[id(node)] = pair
+            nt = turtle = f'"{value.translate(_ESCAPES)}"'
+            if node.datatype:
+                nt += f"^^<{node.datatype}>"
+                turtle += "^^" + (_compact(node.datatype, ns) or f"<{node.datatype}>")
+            elif node.language:
+                nt = turtle = f"{nt}@{node.language}"
+        pair = forms[id(node)] = (nt, turtle)
         return pair
 
     subjects = []
@@ -424,26 +424,15 @@ def serialize_turtle(graph: TripleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _verbatim(iri: str, prefixes: set[str]) -> str:
-    """``iri``, to be written uncompacted in JSON-LD whose context defines
-    ``prefixes``; raises ``IriConfusedWithPrefix`` if a processor would read
-    it as a compact IRI."""
-    prefix, _, rest = iri.partition(":")
-    if prefix in prefixes and not rest.startswith("//"):
-        raise IriConfusedWithPrefix(iri, prefix)
-    return iri
-
-
-def _jsonld_entry(node: Node, namespaces, prefixes: set[str]) -> tuple[str, str]:
+def _jsonld_entry(node: Node, iri_text) -> tuple[str, str]:
     """An IRI's or literal's sort text, ``json.dumps(obj, sort_keys=True,
     ensure_ascii=False)``, and its text as an item of an entry list."""
     if node.kind is NodeKind.IRI:
-        members = ['"@id": ' + _json(_verbatim(node.value, prefixes))]
+        members = ['"@id": ' + _json(iri_text(node.value, False))]
     else:
         members = ['"@value": ' + _json(node.value)]
         if node.datatype:
-            datatype = _compact(node.datatype, namespaces) or _verbatim(node.datatype, prefixes)
-            members.append('"@type": ' + _json(datatype))
+            members.append('"@type": ' + _json(iri_text(node.datatype)))
         elif node.language:
             members.append('"@language": ' + _json(node.language))
     # No two keys share the letter after "@", so the members sort as their keys do.
@@ -458,29 +447,33 @@ def serialize_jsonld(graph: TripleGraph) -> str:
     gives, written directly: each distinct pair set's members are rendered
     once, each distinct object's entry once, and each subject puts its
     ``"@id"`` member, which sorts first, in front of them.
-
-    An IRI that is not compacted is written as it is, and raises
-    ``IriConfusedWithPrefix`` if its scheme is a prefix of the context.
     """
     namespaces = graph.namespaces
-    prefixes = {prefix for prefix, _ in namespaces}
+    prefixes = {prefix: ns for prefix, ns in namespaces if ns[-1] in ":/?#[]@"}
     rdf_type = RDF_NS + "type"
-    keys: dict[str, str] = {}  # predicate IRI -> JSON key
     entries: dict[int, tuple[str, str]] = {}  # id(object) -> (sort text, entry text)
     blocks: dict[int, str] = {}  # id(pair set) -> its members, each after a separator
+
+    @functools.cache
+    def iri_text(iri: str, compact: bool = True) -> str:
+        """``iri`` as a compact IRI if ``compact`` and a prefix fits, else as
+        it is, by the prefix rule of the module docstring."""
+        if compact and (name := _compact(iri, prefixes.items())):
+            return name
+        scheme, _, rest = iri.partition(":")
+        if scheme in prefixes and not rest.startswith("//"):
+            raise IriConfusedWithPrefix(iri, scheme)
+        return iri
 
     def block(pairs: frozenset[tuple[Node, Node]]) -> str:
         by_key: dict[str, list[tuple[str, str]]] = {}
         for predicate, obj in pairs:
             if predicate.value == rdf_type and obj.kind is NodeKind.IRI:
                 key = "@type"
-                text = _json(_compact(obj.value, namespaces) or _verbatim(obj.value, prefixes))
+                text = _json(iri_text(obj.value))
                 entry = (text, text)
             else:
-                key = keys.get(predicate.value)
-                if key is None:
-                    iri = predicate.value
-                    key = keys[iri] = _compact(iri, namespaces) or _verbatim(iri, prefixes)
+                key = iri_text(predicate.value)
                 if obj.kind is NodeKind.BLANK:
                     entry = (
                         f'{{"@id": "_:{obj.value}"}}',
@@ -489,7 +482,7 @@ def serialize_jsonld(graph: TripleGraph) -> str:
                 else:
                     entry = entries.get(id(obj))
                     if entry is None:
-                        entry = entries[id(obj)] = _jsonld_entry(obj, namespaces, prefixes)
+                        entry = entries[id(obj)] = _jsonld_entry(obj, iri_text)
             by_key.setdefault(key, []).append(entry)
         # Every key sorts after "@id": it is "@type", or a prefixed name or an
         # absolute IRI, both of which start with a letter.
@@ -503,10 +496,8 @@ def serialize_jsonld(graph: TripleGraph) -> str:
         members = blocks.get(id(pairs))
         if members is None:
             members = blocks[id(pairs)] = block(pairs)
-        if subject.kind is NodeKind.BLANK:
-            sid = f"_:{subject.value}"
-        else:
-            sid = _verbatim(subject.value, prefixes)
+        value = subject.value
+        sid = f"_:{value}" if subject.kind is NodeKind.BLANK else iri_text(value, False)
         graph_nodes.append((sid, '{\n      "@id": ' + _json(sid) + members + "\n    }"))
     graph_nodes.sort(key=itemgetter(0))
     context = [f"{_json(prefix)}: {_json(iri)}" for prefix, iri in namespaces]

@@ -177,12 +177,17 @@ def _read(source: bytes | str, parse):
 
     This owns the error precedence of the module docstring: when ``parse``
     raises a :class:`RopaError`, the rest of the file is read, and a CSV
-    error found there raises instead, as :class:`MalformedCsv`."""
+    error found there raises instead, as :class:`MalformedCsv`.  Bytes lose a
+    leading BOM, which spreadsheets write.  No field is longer than its input,
+    so ``csv.field_size_limit`` is raised to that length, never lowered."""
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8")
+            # As the "utf-8-sig" codec does, without importing its module.
+            source = source.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedCsv(0, f"input is not valid UTF-8: {exc}") from exc
+    if csv.field_size_limit() < len(source):
+        csv.field_size_limit(len(source))
     reader = csv.reader(io.StringIO(source), strict=True)
     try:
         try:

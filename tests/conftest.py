@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -95,6 +96,17 @@ def random_record(registry, rng: random.Random, record_id=None) -> RopaRecord:
 @pytest.fixture(scope="session")
 def registry():
     return load_registry()
+
+
+@pytest.fixture()
+def long_value_record(registry):
+    """A record whose data controller is longer than ``csv``'s default field
+    limit of 131,072 characters; that limit is in force for the test."""
+    limit = csv.field_size_limit(131_072)
+    cid = "data-controller"
+    record = new_record("pa-long", "Acme GmbH", CREATED)
+    yield set_field(record, registry, cid, field_values(registry, cid, "x" * 200_000))
+    csv.field_size_limit(limit)
 
 
 @pytest.fixture()

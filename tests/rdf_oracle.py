@@ -170,15 +170,21 @@ def parse_turtle(text: str) -> set:
 def parse_jsonld(text: str) -> set:
     """Parse the package's JSON-LD shape into a canonical triple set."""
     document = json.loads(text)
-    context = document.get("@context", {})
+    # JSON-LD 1.1 gives a term the prefix flag only if its IRI ends in a
+    # gen-delim (Create Term Definition, step 14.2.3), and IRI Expansion
+    # (step 6.4) expands a compact IRI only through a term with that flag.
+    prefixes = {
+        term: iri for term, iri in document.get("@context", {}).items()
+        if iri.endswith(tuple(":/?#[]@"))
+    }
 
     def expand(name: str) -> str:
         if name.startswith("_:"):
             return name
         if ":" in name:
             prefix, local = name.split(":", 1)
-            if prefix in context and not local.startswith("//"):
-                return context[prefix] + local
+            if prefix in prefixes and not local.startswith("//"):
+                return prefixes[prefix] + local
         return name
 
     def node_ref(identifier: str):

@@ -157,7 +157,9 @@ def _jsonld_object(node: Node, namespaces) -> dict:
 
 
 def serialize_jsonld(graph: TripleGraph) -> str:
-    namespaces = graph.namespaces
+    # JSON-LD 1.1 makes a term a prefix only if its IRI ends in a gen-delim
+    # (Create Term Definition, step 14.2.3), and compacts only through those.
+    namespaces = [(p, ns) for p, ns in graph.namespaces if ns.endswith(tuple(":/?#[]@"))]
     nodes: dict[str, dict] = {}
     for t in graph.triples:
         sid = _node_ref(t.subject)
@@ -176,5 +178,5 @@ def serialize_jsonld(graph: TripleGraph) -> str:
             if isinstance(entries, list):
                 entries.sort(key=lambda e: json.dumps(e, sort_keys=True, ensure_ascii=False))
         graph_nodes.append({key: node[key] for key in sorted(node)})
-    document = {"@context": dict(namespaces), "@graph": graph_nodes}
+    document = {"@context": dict(graph.namespaces), "@graph": graph_nodes}
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"

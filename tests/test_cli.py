@@ -378,6 +378,22 @@ def test_import_template_roundtrip(capsys, tmp_path):
     assert body.startswith("record_id,concept_id,value_index,value_kind,value")
 
 
+def test_convert_and_import_read_a_value_longer_than_the_csv_field_limit(
+    capsys, tmp_path, long_value_record
+):
+    register, template = tmp_path / "register.csv", tmp_path / "cy.csv"
+    register.write_text(write_canonical([long_value_record], REGISTRY), "utf-8", newline="")
+    config = default_config(REGISTRY, Jurisdiction.CY)
+    text, _ = export_template(long_value_record, config, REGISTRY)
+    template.write_text(text, "utf-8", newline="")
+    for argv in (
+        ["convert", "--input", str(register), "--from", "UK", "--to", "CY"],
+        ["import", "--input", str(template), "--template", "CY"],
+    ):
+        assert cli_main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        assert "x" * 200_000 in (tmp_path / "out.csv").read_text("utf-8")
+
+
 def test_malformed_input_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,canonical,file\n", encoding="utf-8")

@@ -372,7 +372,8 @@ def test_golden_awkward_corpus(registry, awkward_records, name, serialize):
 _IRIS = [
     DPV_NS + "Purpose", DPV_NS + "hasPurpose", DPV_NS + "1local", DPV_NS + "a.b",
     DEFAULT_ROPAEX_NS + "concept", RDF_NS + "type", XSD_NS + "string", "urn:x:y",
-    "https://other.example/p#q", "https://other.example/",
+    "https://other.example/p#q", "https://other.example/", "https://other.example/extName",
+    "ext:x",
 ]
 _text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
 _iri = st.sampled_from(_IRIS).map(Node.iri)
@@ -387,9 +388,11 @@ _literal = st.one_of(
 _NAMESPACES = [
     empty_graph().namespaces,
     (),
-    # Overlapping namespaces: the first one that matches compacts an IRI.
-    (("ex", "https://other.example/"), ("dpv", DPV_NS), ("ex2", "urn:x:"),
-     ("exp", "https://other.example/p#")),
+    # Overlapping namespaces: the first one that matches compacts an IRI.  In
+    # JSON-LD only a term whose IRI ends in a gen-delim is a prefix, so there
+    # "ext" compacts nothing and "ext:x" is an IRI of its own.
+    (("ext", "https://other.example/ext"), ("ex", "https://other.example/"), ("dpv", DPV_NS),
+     ("ex2", "urn:x:"), ("exp", "https://other.example/p#")),
 ]
 
 
@@ -420,7 +423,10 @@ def test_hand_built_graphs_serialize_as_reference(triples, namespaces):
 
 
 _GOOD_PREFIXES, _BAD_PREFIXES = ["ex", "ex2", "dpv", "a-b_1"], ["", "1x", "a b", "@a", "ex:"]
-_GOOD_NS = [DPV_NS, "urn:x:", "https://other.example/", "https://other.example/p#"]
+_GOOD_NS = [
+    DPV_NS, "urn:x:", "https://other.example/", "https://other.example/p#",
+    "https://other.example/ext",
+]
 _BAD_NS = ["not an iri", "", "urn:"]
 
 
@@ -556,3 +562,36 @@ def test_export_of_a_prefix_like_iri_reads_back_or_exits_two(registry, value, ba
             jsonld = handle.read()
     graph = to_graph(record, registry, **({} if base is None else {"base": base}))
     assert parse_turtle(turtle) == parse_jsonld(jsonld) == canonical_triples(graph)
+
+
+# -- context terms that JSON-LD does not make prefixes ---------------------------
+# JSON-LD 1.1 uses a context term as a prefix only if its IRI ends in one of
+# ":/?#[]@".  Under such a --ropaex, JSON-LD writes the extension IRIs in full,
+# "ropaex:x" is an absolute IRI of its own, and Turtle still uses ropaex:.
+
+@pytest.mark.parametrize(
+    "value, code", [("https://example.com/doc/1", 0), ("ropaex:x", 0), ("dpv:x", 2)]
+)
+def test_jsonld_compacts_only_through_prefix_terms(registry, value, code):
+    record = set_field(
+        new_record("pa-1", "Acme", CREATED), registry, "data-processing-agreement",
+        field_values(registry, "data-processing-agreement", value),
+    )
+    ropaex = "https://example.org/ext"
+    with tempfile.TemporaryDirectory() as tmp:
+        source = os.path.join(tmp, "in.csv")
+        with open(source, "w", encoding="utf-8", newline="") as handle:
+            handle.write(write_canonical([record], registry))
+        argv = ["export", "--input", source, "--ropaex", ropaex, "--format"]
+        exported = _export([*argv, "jsonld"])
+        turtle = _export([*argv, "turtle"])[1]
+    assert exported[0] == code
+    _, jsonld, err = exported
+    if code:
+        assert "IRI confused with prefix" in err and jsonld == ""
+        return
+    graph = to_graph(record, registry, ropaex=ropaex)
+    assert parse_jsonld(jsonld) == parse_turtle(turtle) == canonical_triples(graph)
+    assert '"https://example.org/extcontrollerName"' in jsonld
+    assert '"ropaex:controllerName"' not in jsonld
+    assert "ropaex:controllerName" in turtle

@@ -332,6 +332,33 @@ def test_bytes_input_and_bad_utf8(registry):
         parse_canonical(b"\xff\xfe\x00", registry)
 
 
+def test_a_value_longer_than_the_csv_field_limit_reads_back(registry, long_value_record):
+    record = long_value_record
+    assert parse_canonical(write_canonical([record], registry).encode(), registry) == (
+        [record], []
+    )
+    config = default_config(registry, Jurisdiction.CY)
+    text, _ = export_template(record, config, registry)
+    imported, warnings = import_template(text.encode(), config, registry)
+    assert warnings == [] and imported[0].fields == record.fields
+
+
+def test_a_leading_bom_is_skipped(registry, full_record):
+    # Spreadsheets save "CSV UTF-8" with a BOM before the first header.
+    bom = "\ufeff".encode()
+    text = write_canonical([full_record], registry)
+    assert parse_canonical(bom + text.encode(), registry) == ([full_record], [])
+    config = default_config(registry, Jurisdiction.CY)
+    assert config.headers[0] == "Data Controller"
+    template, _ = export_template(full_record, config, registry)
+    imported, warnings = import_template(bom + template.encode(), config, registry)
+    assert (imported, warnings) == import_template(template.encode(), config, registry)
+    assert warnings == [] and "data-controller" in imported[0].fields
+    # A str is read as it is given: there the BOM is part of the first header.
+    with pytest.raises(MalformedCsv, match="line 1: expected header"):
+        parse_canonical("\ufeff" + text, registry)
+
+
 # -- template configs ----------------------------------------------------------
 
 
