@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .errors import RopaError
@@ -61,9 +61,12 @@ class _Option(NamedTuple):
 class _Command(NamedTuple):
     help: str
     options: tuple[_Option, ...]
+    run: Callable[[SimpleNamespace], int]
     #: The dests of a group of which exactly one option must be given.
     one_of: tuple[str, ...] = ()
     description: str | None = None
+    #: What stdout carries when ``--out`` is absent, so ``--json`` needs ``--out``.
+    stdout: str | None = None
 
 
 _INPUT = _Option("--input", "input", required=True, help="canonical interchange CSV")
@@ -71,70 +74,6 @@ _INPUT = _Option("--input", "input", required=True, help="canonical interchange 
 
 def _json_flag(help: str) -> _Option:
     return _Option("--json", "json", flag=True, help=help)
-
-
-#: Every subcommand, with its options in the order of its help text.  Both
-#: ``_build_parser`` and ``_match`` read it.
-_TABLE = {
-    "stats": _Command(
-        "registry mapping summary and self-check", (_json_flag("machine-readable output"),)
-    ),
-    "validate": _Command(
-        "validate canonical records",
-        (
-            _INPUT,
-            _Option("--article30", "article30", flag=True,
-                    help="check Article 30 mandatory concepts"),
-            _Option("--profile", "profile", choices=_JURISDICTION_CODES,
-                    help="check one regulator's template"),
-            _json_flag("machine-readable output"),
-        ),
-        one_of=("article30", "profile"),
-    ),
-    "convert": _Command(
-        "convert records between template shapes",
-        (
-            _INPUT,
-            # The source template is named for the user's sake; only --to shapes the output.
-            _Option("--from", "from_jurisdiction", choices=_JURISDICTION_CODES, required=True),
-            _Option("--to", "to_jurisdiction", choices=_JURISDICTION_CODES, required=True),
-            _Option("--out", "out", required=True, help="output canonical CSV path"),
-            _json_flag("machine-readable loss report"),
-        ),
-    ),
-    "export": _Command(
-        "export records as RDF",
-        (
-            _INPUT,
-            _Option("--format", "format", choices=["turtle", "jsonld"], required=True),
-            _Option("--base", "base", help="base IRI for record nodes"),
-            _Option("--ropaex", "ropaex", help="extension namespace IRI"),
-            _Option("--out", "out", help="output path (default: stdout)"),
-            _json_flag("machine-readable summary"),
-        ),
-    ),
-    "query": _Command(
-        "cross-record compliance queries",
-        (
-            _INPUT,
-            _Option("--rule", "rule", choices=_RULE_IDS, required=True),
-            _Option("--jurisdiction", "jurisdiction", choices=_JURISDICTION_CODES),
-            _json_flag("machine-readable output"),
-        ),
-        description="TRANSFER_WITHOUT_SAFEGUARDS and SPECIAL_CATEGORY_WITHOUT_BASIS "
-        "are artifact-defined heuristics derived from the registry's "
-        "mandatory/optional structure, not statutory tests.",
-    ),
-    "import": _Command(
-        "import a regulator-template CSV",
-        (
-            _Option("--input", "input", required=True, help="template-shaped CSV"),
-            _Option("--template", "template", choices=_JURISDICTION_CODES, required=True),
-            _Option("--out", "out", help="output canonical CSV path (default: stdout)"),
-            _json_flag("machine-readable summary"),
-        ),
-    ),
-}
 
 
 def _match(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -433,9 +372,6 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.json and not args.out:
-        print("ropa: error: --json requires --out (stdout carries the RDF)", file=sys.stderr)
-        return 2
     from .rdf_export import (
         DEFAULT_BASE,
         DEFAULT_ROPAEX_NS,
@@ -448,24 +384,14 @@ def _cmd_export(args) -> int:
     ropaex = DEFAULT_ROPAEX_NS if args.ropaex is None else args.ropaex
     for flag, iri in (("--base", base), ("--ropaex", ropaex)):
         if not is_absolute_iri(iri):
-            print(f"ropa: error: {flag} is not an absolute IRI: {iri!r}", file=sys.stderr)
-            return 2
+            raise RopaError(f"{flag} is not an absolute IRI: {iri!r}")
     registry, records = _load_canonical(args)
     graph = records_to_graph(records, registry, base=base, ropaex=ropaex)
     text = serialize_turtle(graph) if args.format == "turtle" else serialize_jsonld(graph)
     _write_file(args.out, text)
     if args.json:
-        _emit_json(
-            "export",
-            [
-                {
-                    "records": len(records),
-                    "triples": len(graph),
-                    "format": args.format,
-                    "output": args.out or "-",
-                }
-            ],
-        )
+        _emit_json("export", [{"records": len(records), "triples": len(graph),
+                               "format": args.format, "output": args.out}])
     return 0
 
 
@@ -494,12 +420,6 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    if args.json and not args.out:
-        print(
-            "ropa: error: --json requires --out (stdout carries the canonical CSV)",
-            file=sys.stderr,
-        )
-        return 2
     registry = load_registry()
     config = default_config(registry, Jurisdiction(args.template))
     records, warnings = import_template(_read_file(args.input), config, registry)
@@ -508,18 +428,80 @@ def _cmd_import(args) -> int:
     if args.json:
         _emit_json(
             "import",
-            [{"records": len(records), "template": args.template, "output": args.out or "-"}],
+            [{"records": len(records), "template": args.template, "output": args.out}],
         )
     return 0
 
 
-_COMMANDS = {
-    "stats": _cmd_stats,
-    "validate": _cmd_validate,
-    "convert": _cmd_convert,
-    "export": _cmd_export,
-    "query": _cmd_query,
-    "import": _cmd_import,
+#: Every subcommand: its options in the order of its help text, and its
+#: handler.  ``_build_parser``, ``_match`` and ``cli_main`` read it.
+_TABLE = {
+    "stats": _Command(
+        "registry mapping summary and self-check", (_json_flag("machine-readable output"),),
+        _cmd_stats,
+    ),
+    "validate": _Command(
+        "validate canonical records",
+        (
+            _INPUT,
+            _Option("--article30", "article30", flag=True,
+                    help="check Article 30 mandatory concepts"),
+            _Option("--profile", "profile", choices=_JURISDICTION_CODES,
+                    help="check one regulator's template"),
+            _json_flag("machine-readable output"),
+        ),
+        _cmd_validate,
+        one_of=("article30", "profile"),
+    ),
+    "convert": _Command(
+        "convert records between template shapes",
+        (
+            _INPUT,
+            # The source template is named for the user's sake; only --to shapes the output.
+            _Option("--from", "from_jurisdiction", choices=_JURISDICTION_CODES, required=True),
+            _Option("--to", "to_jurisdiction", choices=_JURISDICTION_CODES, required=True),
+            _Option("--out", "out", required=True, help="output canonical CSV path"),
+            _json_flag("machine-readable loss report"),
+        ),
+        _cmd_convert,
+    ),
+    "export": _Command(
+        "export records as RDF",
+        (
+            _INPUT,
+            _Option("--format", "format", choices=["turtle", "jsonld"], required=True),
+            _Option("--base", "base", help="base IRI for record nodes"),
+            _Option("--ropaex", "ropaex", help="extension namespace IRI"),
+            _Option("--out", "out", help="output path (default: stdout)"),
+            _json_flag("machine-readable summary"),
+        ),
+        _cmd_export,
+        stdout="the RDF",
+    ),
+    "query": _Command(
+        "cross-record compliance queries",
+        (
+            _INPUT,
+            _Option("--rule", "rule", choices=_RULE_IDS, required=True),
+            _Option("--jurisdiction", "jurisdiction", choices=_JURISDICTION_CODES),
+            _json_flag("machine-readable output"),
+        ),
+        _cmd_query,
+        description="TRANSFER_WITHOUT_SAFEGUARDS and SPECIAL_CATEGORY_WITHOUT_BASIS "
+        "are artifact-defined heuristics derived from the registry's "
+        "mandatory/optional structure, not statutory tests.",
+    ),
+    "import": _Command(
+        "import a regulator-template CSV",
+        (
+            _Option("--input", "input", required=True, help="template-shaped CSV"),
+            _Option("--template", "template", choices=_JURISDICTION_CODES, required=True),
+            _Option("--out", "out", help="output canonical CSV path (default: stdout)"),
+            _json_flag("machine-readable summary"),
+        ),
+        _cmd_import,
+        stdout="the canonical CSV",
+    ),
 }
 
 
@@ -532,8 +514,11 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+    command = _TABLE[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if command.stdout and args.json and not args.out:
+            raise RopaError(f"--json requires --out (stdout carries {command.stdout})")
+        return command.run(args)
     except (RopaError, OSError) as exc:
         print(f"ropa: error: {exc}", file=sys.stderr)
         return 2
@@ -545,8 +530,9 @@ def main() -> None:
     # so the cyclic collector's passes would only rescan live objects.
     gc.disable()
     # stdout carries the same bytes as --out, and stderr the same diagnostics,
-    # whatever the locale
-    sys.stdout.reconfigure(encoding="utf-8")
+    # whatever the locale.  A non-UTF-8 byte of argv (in a path) reaches them
+    # as a lone surrogate, which both write as its escape, \udcXX.
+    sys.stdout.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     code = cli_main()
     # So that interpreter shutdown skips the collector's full passes over every live object.

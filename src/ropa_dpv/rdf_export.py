@@ -70,6 +70,8 @@ PROCESSING_VERB_TERMS = frozenset({"dpv:Combine", "dpv:Transfer"})
 
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9]+\Z")
 _LOCAL_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+#: Turtle's LANGTAG, without its "@".
+_LANGTAG_RE = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*\Z")
 
 
 class NodeKind(str, Enum):
@@ -103,6 +105,10 @@ class Node(_NodeItems):
             raise ValueError(f"not an absolute IRI: {value!r}")
         if kind is NodeKind.BLANK and not _BLANK_LABEL_RE.fullmatch(value):
             raise ValueError(f"invalid blank node label: {value!r}")
+        if datatype is not None and not is_absolute_iri(datatype):
+            raise ValueError(f"datatype is not an absolute IRI: {datatype!r}")
+        if language is not None and not _LANGTAG_RE.fullmatch(language):
+            raise ValueError(f"invalid language tag: {language!r}")
         return tuple.__new__(cls, (kind, value, datatype, language))
 
     @classmethod

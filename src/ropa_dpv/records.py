@@ -84,7 +84,7 @@ class ValueSchema(NamedTuple):
 
 _RECORD_ID_RE = re.compile(r"[A-Za-z0-9._~-]+\Z")
 _COUNTRY_RE = re.compile(r"[A-Z]{2}\Z")
-_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20\s<>\"{}|\\^`]+\Z")
+_IRI_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20\s<>\"{}|\\^`\ud800-\udfff]+\Z")
 #: ``xsd:duration`` has no week component, and its digits are ASCII.
 _DURATION_RE = re.compile(
     r"P(?:\d+Y)?(?:\d+M)?(?:\d+D)?(?:T(?:\d+H)?(?:\d+M)?(?:\d+(?:\.\d+)?S)?)?\Z", re.ASCII

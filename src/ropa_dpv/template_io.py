@@ -31,7 +31,9 @@ import re
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DuplicateCell, HeaderMismatch, MalformedCsv, RopaError, UnknownConcept
+from .errors import (
+    DuplicateCell, HeaderMismatch, InvalidRecordId, MalformedCsv, RopaError, UnknownConcept,
+)
 from .records import (
     _RECORD_ID_RE,
     FieldValue,
@@ -182,8 +184,9 @@ def _read(source: bytes | str, parse):
     so ``csv.field_size_limit`` is raised to that length, never lowered."""
     if isinstance(source, bytes):
         try:
-            # As the "utf-8-sig" codec does, without importing its module.
-            source = source.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+            # As the "utf-8-sig" codec does, without importing its module, but
+            # an error's position counts the BOM's bytes.
+            source = source.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise MalformedCsv(0, f"input is not valid UTF-8: {exc}") from exc
     if csv.field_size_limit() < len(source):
@@ -284,6 +287,8 @@ def _concept_plan(
         return f"unknown metadata row {concept_id!r} ignored"
     try:
         schema = registry.concept(concept_id).value_schema
+        if concept_id == registry.container.id:  # it names the register, not a field
+            raise UnknownConcept(concept_id)
     except UnknownConcept:
         return f"unknown concept {concept_id!r}; values dropped"
     return schema.kind, schema.multiplicity is Multiplicity.ONE
@@ -404,7 +409,8 @@ def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) ->
 
     Deterministic: records in input order, concepts in table order, values
     in index order.  Record ids must be unique (the file format cannot
-    represent two records with the same id).
+    represent two records with the same id) and valid, as
+    :func:`parse_canonical` reads them: :class:`InvalidRecordId` otherwise.
     """
     if len({record.record_id for record in records}) != len(records):
         raise ValueError("duplicate record ids cannot be written to one file")
@@ -413,16 +419,18 @@ def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) ->
     tails: dict[FieldValue | str, str] = {}
     for record in records:
         rid, fields = record.record_id, record.fields
-        # Concept ids ([a-z0-9-]+, checked by the registry) and _meta: ids need no quoting.
-        head, slow = _quote(rid) + ",", "\r" in rid
+        if not _RECORD_ID_RE.fullmatch(rid):
+            raise InvalidRecordId(rid)
+        # Record ids, concept ids ([a-z0-9-]+, checked by the registry) and
+        # _meta: ids need no quoting.
         cells = [(META_CONTROLLER_NAME, (record.controller_name,)),
                  (META_CREATED, (record.created,))]
         cells += [(cid, fields[cid]) for cid in sorted(fields, key=registry.table_index)]
         for cid, values in cells:
-            prefix = f"{head}{cid},"
+            prefix = f"{rid},{cid},"
             for index, value in enumerate(values):
                 tail = tails.get(value) or tails.setdefault(value, _csv_line(_last_fields(value)))
-                if not slow and "\r" not in tail:
+                if "\r" not in tail:
                     lines.append(f"{prefix}{index},{tail}")
                 else:
                     lines.append(_csv_line((rid, cid, str(index), *_last_fields(value))))

@@ -16,6 +16,7 @@ import io
 from ropa_dpv import (
     DuplicateCell,
     FieldValue,
+    InvalidRecordId,
     MalformedCsv,
     Multiplicity,
     RopaRecord,
@@ -100,6 +101,8 @@ def parse_canonical(source, registry):
                 continue
             try:
                 descriptor = registry.concept(concept_id)
+                if descriptor is registry.container:  # the register, not a field
+                    raise UnknownConcept(concept_id)
             except UnknownConcept:
                 warnings.append(
                     f"line {entries[0][0]}: unknown concept {concept_id!r}; values dropped"
@@ -191,6 +194,8 @@ def write_canonical(records, registry):
     rows = [CANONICAL_HEADER]
     for record in records:
         rid = record.record_id
+        if not _RECORD_ID_RE.fullmatch(rid):
+            raise InvalidRecordId(rid)
         rows.append((rid, META_CONTROLLER_NAME, 0, ValueKind.TEXT.value, record.controller_name))
         rows.append((rid, META_CREATED, 0, ValueKind.TEXT.value, record.created))
         for cid in sorted(record.fields, key=registry.table_index):

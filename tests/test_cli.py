@@ -477,6 +477,35 @@ def test_stderr_is_utf8_under_an_ascii_locale(tmp_path):
     assert ascii_.stderr == utf8.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--base", b"https://x/\xff"), ("--ropaex", b"https://x/\xff#")]
+)
+def test_an_iri_flag_with_a_non_utf8_byte_is_a_usage_error(
+    tmp_path, mandatory_record_file, flag, value
+):
+    # Python reads a byte of argv that is not UTF-8 as a lone surrogate.
+    out = tmp_path / "out.ttl"
+    argv = ["export", "--input", str(mandatory_record_file), "--format", "turtle"]
+    result = _run_module(*argv, flag, value, "--out", str(out))
+    assert (result.returncode, result.stdout) == (2, b"")
+    expected = f"ropa: error: {flag} is not an absolute IRI: {os.fsdecode(value)!r}\n"
+    assert result.stderr == expected.encode()
+    assert not out.exists()
+
+
+def test_an_out_path_with_a_non_utf8_byte_reads_back_from_the_summary(
+    tmp_path, mandatory_record_file
+):
+    out = os.fsencode(tmp_path / "o") + b"\xff.ttl"
+    argv = ["export", "--input", str(mandatory_record_file), "--format", "turtle"]
+    result = _run_module(*argv, "--out", out, "--json")
+    assert (result.returncode, result.stderr) == (0, b"")
+    # stdout writes the lone surrogate as its escape, which JSON reads back.
+    assert b"\\udcff" in result.stdout
+    assert os.fsencode(json.loads(result.stdout)["results"][0]["output"]) == out
+    assert os.path.isfile(out)
+
+
 def test_week_duration_is_dropped_on_import(capsys, tmp_path):
     # xsd:duration has no week component, so "P2W" must not reach an export.
     cid = "retention-deletion-periods"

@@ -257,6 +257,14 @@ def test_node_and_triple_validation():
         Node.blank("bad label!")
     with pytest.raises(ValueError):
         Node.literal("x", datatype="http://a#b", language="en")
+    # Each of these would serialize to Turtle that does not parse.
+    for datatype in ["not an iri", "", "http://a#\udcff"]:
+        with pytest.raises(ValueError, match="datatype is not an absolute IRI"):
+            Node.literal("x", datatype=datatype)
+    for language in ["en fr", "", "en-", "-en", "en_GB", "\u00e9"]:
+        with pytest.raises(ValueError, match="invalid language tag"):
+            Node.literal("x", language=language)
+    assert Node.literal("x", language="de-CH-1996").language == "de-CH-1996"
     lit = Node.literal("x")
     iri = Node.iri("https://example.com/p")
     with pytest.raises(ValueError):

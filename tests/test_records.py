@@ -14,7 +14,7 @@ from ropa_dpv import (
     new_record,
     set_field,
 )
-from ropa_dpv.records import is_xsd_datetime
+from ropa_dpv.records import is_absolute_iri, is_xsd_datetime
 from conftest import CREATED
 
 
@@ -28,6 +28,12 @@ def test_new_record_is_empty():
 def test_invalid_record_id(bad_id):
     with pytest.raises(InvalidRecordId):
         new_record(bad_id, "Acme", CREATED)
+
+
+def test_an_iri_holds_no_lone_surrogate():
+    # A byte of argv that is not UTF-8 reaches Python as one, which UTF-8 cannot encode.
+    assert is_absolute_iri("https://x/\u00e9")
+    assert not is_absolute_iri("https://x/\udcff")
 
 
 def test_empty_controller_name():

@@ -12,6 +12,7 @@ from ropa_dpv import (
     DuplicateCell,
     FieldValue,
     HeaderMismatch,
+    InvalidRecordId,
     Jurisdiction,
     LossReason,
     MalformedCsv,
@@ -163,6 +164,17 @@ def test_parse_warns_on_unknown_concept_and_kind(registry):
     assert not records[0].has("processor")
 
 
+def test_parse_drops_the_register_container_row(registry):
+    # The container row names the register itself, not a record field.
+    text = HEADER + META + "pa-1,register-of-processing-activities,0,TEXT,hello\n"
+    records, warnings = parse_canonical(text, registry)
+    assert warnings == [
+        "line 4: unknown concept 'register-of-processing-activities'; values dropped"
+    ]
+    assert records[0].fields == {}
+    assert (records, warnings) == canonical_reference.parse_canonical(text, registry)
+
+
 def test_parse_interleaved_records_pins_warning_order(registry):
     # pa-a is started, then pa-b, then more of pa-a; every warning kind occurs
     text = HEADER + (
@@ -250,6 +262,12 @@ def test_write_empty_is_header_only(registry):
 def test_write_rejects_duplicate_record_ids(registry, empty_record):
     with pytest.raises(ValueError):
         write_canonical([empty_record, empty_record], registry)
+
+
+@pytest.mark.parametrize("record_id", ["a b", "a,b", "x\ry"])
+def test_write_rejects_a_record_id_the_parse_rejects(registry, record_id):
+    with pytest.raises(InvalidRecordId):
+        write_canonical([RopaRecord(record_id, "Acme", CREATED, {})], registry)
 
 
 def test_round_trip_identity(registry, full_record, mandatory_record):
@@ -357,6 +375,11 @@ def test_a_leading_bom_is_skipped(registry, full_record):
     # A str is read as it is given: there the BOM is part of the first header.
     with pytest.raises(MalformedCsv, match="line 1: expected header"):
         parse_canonical("\ufeff" + text, registry)
+
+
+def test_an_invalid_byte_after_a_bom_is_reported_at_its_offset(registry):
+    with pytest.raises(MalformedCsv, match="byte 0xff in position 5:"):
+        parse_canonical(b"\xef\xbb\xbfab\xff", registry)
 
 
 # -- template configs ----------------------------------------------------------
