@@ -55,7 +55,9 @@ from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .errors import IriConfusedWithPrefix
-from .records import FieldValue, RopaRecord, ValueKind, _indented, _json, is_absolute_iri
+from .records import (
+    FieldValue, RopaRecord, ValueKind, _indented, _json, has_surrogate, is_absolute_iri,
+)
 from .registry import ConceptRegistry, MappingOutcome
 
 DPV_NS = "https://w3id.org/dpv#"
@@ -105,6 +107,8 @@ class Node(_NodeItems):
             raise ValueError(f"not an absolute IRI: {value!r}")
         if kind is NodeKind.BLANK and not _BLANK_LABEL_RE.fullmatch(value):
             raise ValueError(f"invalid blank node label: {value!r}")
+        if kind is NodeKind.LITERAL and has_surrogate(value):
+            raise ValueError(f"literal holds a lone surrogate: {value!r}")
         if datatype is not None and not is_absolute_iri(datatype):
             raise ValueError(f"datatype is not an absolute IRI: {datatype!r}")
         if language is not None and not _LANGTAG_RE.fullmatch(language):

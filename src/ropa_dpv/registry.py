@@ -6,11 +6,12 @@ regulator ROPA templates (Belgium, Cyprus, Denmark, Finland, Luxembourg, UK),
 each aligned to the Data Privacy Vocabulary with a correspondence outcome,
 plus one container row for the register itself.
 
-The dataset ships as human-auditable CSV files under ``ropa_dpv/data/``.
-Each file is verified on load against its SHA-256 digest in
-``data/SHA256SUMS``, a manifest in the format ``sha256sum`` writes (one
-``<64 lowercase hex digits>  <file name>`` line per file), so
-``sha256sum -c SHA256SUMS`` checks the same files.  The registry is
+The dataset ships as two human-auditable CSV files under ``ropa_dpv/data/``:
+``concept_table.csv`` declares each row in full, value schema included, and
+``vocabularies.csv`` seeds the known terms.  Each is verified on load against
+its SHA-256 digest in ``data/SHA256SUMS``, a manifest in the format
+``sha256sum`` writes (one ``<64 lowercase hex digits>  <file name>`` line per
+file), so ``sha256sum -c SHA256SUMS`` checks the same files.  The registry is
 immutable after load and safe for unrestricted concurrent reads.
 """
 
@@ -91,8 +92,10 @@ _TABLE_HEADER = [
     "coverage_dpv",
     "jurisdictions",
     "note",
+    "value_kind",
+    "multiplicity",
+    "vocabulary",
 ]
-_SCHEMA_HEADER = ["concept_id", "value_kind", "multiplicity", "vocabulary"]
 _VOCAB_HEADER = ["vocabulary", "term"]
 
 
@@ -355,30 +358,6 @@ def _rows(name: str, expected_header: list[str]) -> Iterator[list[str]]:
         yield row
 
 
-def _parse_schema_table() -> dict[str, ValueSchema]:
-    schemas: dict[str, ValueSchema] = {}
-    for row in _rows("value_schemas.csv", _SCHEMA_HEADER):
-        cid, kind_tag, mult_tag, vocab = row
-        try:
-            kind = ValueKind(kind_tag)
-            mult = Multiplicity(mult_tag)
-        except ValueError as exc:
-            raise EmbeddedDataCorrupt(f"value_schemas.csv: {exc}") from exc
-        term_kind = kind in (ValueKind.TERM, ValueKind.TERM_LIST)
-        if term_kind != bool(vocab):
-            raise EmbeddedDataCorrupt(
-                f"value_schemas.csv: vocabulary must be set exactly for term kinds ({cid})"
-            )
-        if kind.value.endswith("_LIST") and mult is not Multiplicity.MANY:
-            raise EmbeddedDataCorrupt(
-                f"value_schemas.csv: list kinds require multiplicity MANY ({cid})"
-            )
-        if cid in schemas:
-            raise EmbeddedDataCorrupt(f"value_schemas.csv: duplicate id {cid}")
-        schemas[cid] = ValueSchema(kind, mult, vocab or None)
-    return schemas
-
-
 def _parse_vocabularies() -> dict[str, frozenset[str]]:
     seeded: dict[str, set[str]] = {}
     for row in _rows("vocabularies.csv", _VOCAB_HEADER):
@@ -395,7 +374,6 @@ def load_registry() -> ConceptRegistry:
     Raises :class:`EmbeddedDataCorrupt` if the packaged dataset fails its
     checksum or schema validation.
     """
-    schemas = _parse_schema_table()
     vocabularies = _parse_vocabularies()
 
     rows: list[ConceptDescriptor] = []
@@ -403,7 +381,7 @@ def load_registry() -> ConceptRegistry:
     coverage_count = 0
     for row in _rows("concept_table.csv", _TABLE_HEADER):
         (cid, display, article, mandatory, terms_cell, outcome_tag,
-         cov_template, cov_dpv, juris_cell, note) = row
+         cov_template, cov_dpv, juris_cell, note, kind_tag, mult_tag, vocab) = row
         if not _CONCEPT_ID_RE.fullmatch(cid):
             raise EmbeddedDataCorrupt(f"concept_table.csv: bad concept id {cid!r}")
         if cid in seen:
@@ -413,6 +391,8 @@ def load_registry() -> ConceptRegistry:
             raise EmbeddedDataCorrupt(f"concept_table.csv: bad mandatory flag for {cid}")
         try:
             outcome = MappingOutcome(outcome_tag)
+            kind = ValueKind(kind_tag)
+            mult = Multiplicity(mult_tag)
         except ValueError as exc:
             raise EmbeddedDataCorrupt(f"concept_table.csv: {exc}") from exc
         terms = tuple(t for t in terms_cell.split(";") if t)
@@ -446,8 +426,14 @@ def load_registry() -> ConceptRegistry:
             )
         except ValueError as exc:
             raise EmbeddedDataCorrupt(f"concept_table.csv: {exc}") from exc
-        if cid not in schemas:
-            raise EmbeddedDataCorrupt(f"concept_table.csv: no value schema for {cid}")
+        if (kind in (ValueKind.TERM, ValueKind.TERM_LIST)) != bool(vocab):
+            raise EmbeddedDataCorrupt(
+                f"concept_table.csv: vocabulary must be set exactly for term kinds ({cid})"
+            )
+        if kind.value.endswith("_LIST") and mult is not Multiplicity.MANY:
+            raise EmbeddedDataCorrupt(
+                f"concept_table.csv: list kinds require multiplicity MANY ({cid})"
+            )
         rows.append(
             ConceptDescriptor(
                 id=cid,
@@ -458,7 +444,7 @@ def load_registry() -> ConceptRegistry:
                 outcome=outcome,
                 coverage=coverage,
                 jurisdictions=jurisdictions,
-                value_schema=schemas[cid],
+                value_schema=ValueSchema(kind, mult, vocab or None),
                 note=note,
             )
         )
@@ -471,8 +457,6 @@ def load_registry() -> ConceptRegistry:
         raise EmbeddedDataCorrupt(
             f"concept_table.csv: expected 7 coverage pairs, got {coverage_count}"
         )
-    if set(schemas) != seen:
-        raise EmbeddedDataCorrupt("value_schemas.csv does not match the concept table")
 
     profiles = {}
     for j in Jurisdiction:

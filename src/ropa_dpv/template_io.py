@@ -91,6 +91,7 @@ def make_config(
     jurisdiction = Jurisdiction(jurisdiction)
     profile = registry.profiles[jurisdiction]
     headers: set[str] = set()
+    concepts: set[str] = set()
     for header, cid in column_map:
         if not header:
             raise ValueError("external headers must be non-empty")
@@ -102,6 +103,9 @@ def make_config(
             raise ValueError(
                 f"{cid!r} is not part of the {jurisdiction.value} template profile"
             )
+        if cid in concepts:
+            raise ValueError(f"concept {cid!r} is mapped from two headers")
+        concepts.add(cid)
     return TemplateProfileConfig(jurisdiction, tuple((h, c) for h, c in column_map))
 
 
@@ -411,6 +415,8 @@ def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) ->
     in index order.  Record ids must be unique (the file format cannot
     represent two records with the same id) and valid, as
     :func:`parse_canonical` reads them: :class:`InvalidRecordId` otherwise.
+    A controller name or created time holding a lone surrogate, which has no
+    UTF-8 encoding, raises ValueError.
     """
     if len({record.record_id for record in records}) != len(records):
         raise ValueError("duplicate record ids cannot be written to one file")
@@ -421,10 +427,14 @@ def write_canonical(records: Sequence[RopaRecord], registry: ConceptRegistry) ->
         rid, fields = record.record_id, record.fields
         if not _RECORD_ID_RE.fullmatch(rid):
             raise InvalidRecordId(rid)
+        name, created = record.controller_name, record.created
+        if has_surrogate(name):
+            raise ValueError(f"controller name holds a lone surrogate: {name!r}")
+        if has_surrogate(created):
+            raise ValueError(f"created time holds a lone surrogate: {created!r}")
         # Record ids, concept ids ([a-z0-9-]+, checked by the registry) and
         # _meta: ids need no quoting.
-        cells = [(META_CONTROLLER_NAME, (record.controller_name,)),
-                 (META_CREATED, (record.created,))]
+        cells = [(META_CONTROLLER_NAME, (name,)), (META_CREATED, (created,))]
         cells += [(cid, fields[cid]) for cid in sorted(fields, key=registry.table_index)]
         for cid, values in cells:
             prefix = f"{rid},{cid},"

@@ -265,6 +265,9 @@ def test_node_and_triple_validation():
         with pytest.raises(ValueError, match="invalid language tag"):
             Node.literal("x", language=language)
     assert Node.literal("x", language="de-CH-1996").language == "de-CH-1996"
+    # Text with no UTF-8 encoding, which no serializer could write.
+    with pytest.raises(ValueError, match="literal holds a lone surrogate"):
+        Node.literal("a\udcff")
     lit = Node.literal("x")
     iri = Node.iri("https://example.com/p")
     with pytest.raises(ValueError):

@@ -195,6 +195,45 @@ def test_tampered_data_raises(monkeypatch, registry):
         load_registry()
 
 
+# The data-controller row up to its value schema: TEXT, ONE and no vocabulary.
+_CONTROLLER_ROW = b"dpv:DataController,EXACT,,,BE;CY;DK;FI;LU;UK,,"
+
+
+@pytest.mark.parametrize(
+    "schema, message",
+    [
+        (b"TEXTY,ONE,", "'TEXTY' is not a valid ValueKind"),
+        (b"TEXT,SOME,", "'SOME' is not a valid Multiplicity"),
+        (b"TERM,ONE,", r"vocabulary must be set exactly for term kinds \(data-controller\)"),
+        (b"TEXT,ONE,purpose", r"vocabulary must be set exactly for term kinds \(data-controller\)"),
+        (b"TEXT_LIST,ONE,", r"list kinds require multiplicity MANY \(data-controller\)"),
+    ],
+    ids=["bad-kind", "bad-multiplicity", "term-without-vocabulary", "text-with-vocabulary",
+         "list-of-one"],
+)
+def test_bad_value_schema_raises(monkeypatch, schema, message):
+    original = registry_module.read_verified
+
+    def with_schema(name):
+        data = original(name)
+        if name == "concept_table.csv":
+            row = _CONTROLLER_ROW + b"TEXT,ONE,\n"
+            assert data.count(row) == 1
+            data = data.replace(row, _CONTROLLER_ROW + schema + b"\n")
+        return data
+
+    monkeypatch.setattr(registry_module, "read_verified", with_schema)
+    with pytest.raises(EmbeddedDataCorrupt, match=rf"^concept_table\.csv: {message}$"):
+        load_registry()
+
+
+def test_manifest_lists_every_data_file():
+    data = Path(registry_module.__file__).parent / "data"
+    manifest = (data / "SHA256SUMS").read_text(encoding="utf-8").splitlines()
+    listed = sorted(line.partition("  ")[2] for line in manifest)
+    assert listed == sorted(p.name for p in data.iterdir() if p.name != "SHA256SUMS")
+
+
 _DIGEST = "0" * 64
 
 

@@ -30,6 +30,7 @@ from ropa_dpv import (
     new_record,
     parse_canonical,
     set_field,
+    to_graph,
     write_canonical,
 )
 from conftest import CREATED, populate
@@ -270,6 +271,23 @@ def test_write_rejects_a_record_id_the_parse_rejects(registry, record_id):
         write_canonical([RopaRecord(record_id, "Acme", CREATED, {})], registry)
 
 
+@pytest.mark.parametrize(
+    "name, created, message",
+    [
+        ("a\udcff", CREATED, r"controller name holds a lone surrogate: 'a\\udcff'"),
+        ("Acme", "2024\udcff", r"created time holds a lone surrogate: '2024\\udcff'"),
+    ],
+    ids=["controller-name", "created"],
+)
+def test_writers_reject_a_lone_surrogate(registry, name, created, message):
+    # new_record refuses such a name; a record built directly must not slip through.
+    record = RopaRecord("pa-1", name, created, {})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_canonical([record], registry)
+    with pytest.raises(ValueError, match="literal holds a lone surrogate"):
+        to_graph(record, registry)
+
+
 def test_round_trip_identity(registry, full_record, mandatory_record):
     originals = [full_record, mandatory_record]
     text = write_canonical(originals, registry)
@@ -425,6 +443,13 @@ def test_make_config_rejects_bad_maps(registry):
         make_config(Jurisdiction.UK, [("Types", "type-of-processing")], registry)
     with pytest.raises(ValueError):
         make_config(Jurisdiction.UK, [("", "privacy-notice")], registry)
+    with pytest.raises(ValueError, match="'purposes-of-processing' is mapped from two headers"):
+        # import_template would keep one column's values and drop the other's.
+        make_config(
+            Jurisdiction.UK,
+            [("Purpose A", "purposes-of-processing"), ("Purpose B", "purposes-of-processing")],
+            registry,
+        )
 
 
 def test_load_config_from_csv(registry):
@@ -433,6 +458,8 @@ def test_load_config_from_csv(registry):
     assert config.column_map == (("Finalites", "purposes-of-processing"),)
     with pytest.raises(MalformedCsv):
         load_config("wrong,header\nx,y\n", Jurisdiction.LU, registry)
+    with pytest.raises(MalformedCsv, match="mapped from two headers"):
+        load_config(text + "Finalites bis,purposes-of-processing\n", Jurisdiction.LU, registry)
 
 
 # -- template import -----------------------------------------------------------
