@@ -37,7 +37,10 @@ colon, would expand as a compact IRI, and raises ``IriConfusedWithPrefix``.
 
 Each invariant of a graph is checked once, where it enters: ``Node`` checks
 its items, ``Triple`` its subject and predicate kinds, and ``TripleGraph`` its
-namespace table.  Each distinct node is built once per graph, and rendered
+namespace table.  ``records_to_graph`` builds each distinct IRI and literal,
+and so checks it, once per graph, and each distinct (predicate, object) pair
+once; it builds the usage blank nodes without ``Node``'s checks, as a label of
+``c`` and digits cannot fail them.  The serializers render each distinct node
 once per serialization.  The JSON-LD text is written directly, not by
 ``json.dumps``; ``tests/rdf_reference.py`` keeps the ``json.dumps(indent=2)``
 serializer (and the Turtle one that renders every term where it is used),
@@ -51,12 +54,13 @@ import itertools
 import re
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import quote
 
 from .errors import IriConfusedWithPrefix
 from .records import (
     FieldValue, RopaRecord, ValueKind, _indented, _json, has_surrogate, is_absolute_iri,
+    is_xsd_datetime,
 )
 from .registry import ConceptRegistry, MappingOutcome
 
@@ -169,8 +173,9 @@ class TripleGraph:
     Each invariant is checked once, where it enters: ``Node`` checks its
     items, ``Triple`` its subject and predicate kinds (the constructor passes
     plain 3-tuples through ``Triple._make``), and ``_grouped``, which makes
-    every graph, the namespace table.  ``records_to_graph``, pickle and copy
-    pass groups of checked nodes to ``_grouped`` directly.
+    every graph, the namespace table.  Pickle and copy pass groups of checked
+    nodes to ``_grouped`` directly; ``records_to_graph`` passes it an empty
+    dict, so the table is checked before any node is built, and fills it in.
     """
 
     __slots__ = ("_groups", "namespaces", "_triples")
@@ -277,6 +282,14 @@ def to_graph(
     return records_to_graph([record], registry, base=base, ropaex=ropaex)
 
 
+def _usage_nodes() -> Iterator[Node]:
+    """The blank nodes ``_:c0``, ``_:c1``, ...  A label of ``c`` and digits
+    passes every check of ``Node.__new__``, so they are built without them."""
+    blank = NodeKind.BLANK
+    for label in itertools.count():
+        yield tuple.__new__(Node, (blank, f"c{label}", None, None))
+
+
 def records_to_graph(
     records: Sequence[RopaRecord],
     registry: ConceptRegistry,
@@ -289,21 +302,37 @@ def records_to_graph(
     Blank node labels (``_:c0``, ``_:c1``, ...) are assigned in emission
     order across the whole document, keeping output reproducible.
 
-    The triples are grouped by subject as they are made.  Each distinct node
-    is built, and so checked by ``Node.__new__``, once per graph: IRIs,
-    literals, field values and each concept's predicate and usage rows are
-    cached, and equal nodes are shared.  Every usage node of a concept shares
-    the concept's one usage pair set; a record's own rows go into one set per
-    record IRI, so repeated rows are kept once and records with the same id
-    are merged.
+    The triples are grouped by subject as they are made.  Each distinct IRI
+    and literal is built, and so checked by ``Node.__new__``, once per graph,
+    and each distinct ``created`` time is checked to be an ``xsd:dateTime``
+    once; a usage node's label is valid by its form (see ``_usage_nodes``).
+    Each concept's predicate and usage rows, and its (predicate, object) pair
+    for each distinct value, are made once, and equal nodes and pairs are
+    shared.  Every usage node of a concept shares the concept's one usage pair
+    set; a record's own rows go into one frozenset per record IRI, so repeated
+    rows are kept once and records with the same id are merged.
     """
     base = base.rstrip("/")
+    groups: dict[Node, frozenset[tuple[Node, Node]]] = {}
+    # The namespace table is checked here, before any ropaex IRI is built;
+    # the groups are filled in below.
+    graph = TripleGraph._grouped(groups, namespace_table(ropaex))
     # Caches over local closures, not bound methods, leave no reference
     # cycle: everything built here but the graph is freed on return.
     iri = functools.cache(Node.iri)
     literal = functools.cache(Node.literal)
+    type_pair = (iri(RDF_NS + "type"), iri(DPV_NS + "PersonalDataHandling"))
+    controller_name = iri(ropaex + "controllerName")
+    created = iri(ropaex + "created")
+    concept_usage = iri(ropaex + "conceptUsage")
 
     @functools.cache
+    def created_pair(text: str) -> tuple[Node, Node]:
+        pair = (created, literal(text, XSD_NS + "dateTime"))  # a lone surrogate raises here
+        if not is_xsd_datetime(text):
+            raise ValueError(f"not an xsd:dateTime: {text!r}")
+        return pair
+
     def value(v: FieldValue, vocabulary: str | None) -> Node:
         kind = v.kind
         if kind in (ValueKind.TERM, ValueKind.TERM_LIST):
@@ -315,54 +344,58 @@ def records_to_graph(
 
     @functools.cache
     def concept(cid: str) -> tuple:
-        """``(vocabulary, predicate, verb, usage pairs)`` for a concept.
+        """``(table index, concept id, value pair, verb pair, usage pairs)``.
 
-        ``verb`` is the ``ropaex:usesProcessing`` object of a processing-verb
-        concept, else None; the usage pairs are the frozenset of
-        (predicate, object) pairs of each of its usage nodes.
+        ``value pair`` maps a value to its cached (predicate, object) pair.  A
+        processing-verb concept has None there and its ``usesProcessing``
+        pair as ``verb pair``, which is None for any other.  The usage pairs
+        are the frozenset of pairs of each of the concept's usage nodes.
         """
         descriptor = registry.concept(cid)
         terms = descriptor.dpv_terms
-        verb = None
+        value_pair = verb_pair = None
         if descriptor.outcome is MappingOutcome.NONE or not terms:
-            predicate = ropaex + _camel(cid)
+            predicate = iri(ropaex + _camel(cid))
         elif terms[0] in PROCESSING_VERB_TERMS:
-            predicate = ropaex + "usesProcessing"
-            verb = iri(_expand(terms[0], ropaex))
+            verb_pair = (iri(ropaex + "usesProcessing"), iri(_expand(terms[0], ropaex)))
         else:
             local = terms[0].split(":", 1)[1]
-            predicate = DPV_NS + "has" + local[:1].upper() + local[1:]
+            predicate = iri(DPV_NS + "has" + local[:1].upper() + local[1:])
+        if verb_pair is None:
+            vocabulary = descriptor.value_schema.vocabulary
+            value_pair = functools.cache(lambda v: (predicate, value(v, vocabulary)))
         usage = [
             (iri(ropaex + "concept"), literal(cid, None)),
             (iri(ropaex + "mappingOutcome"), literal(descriptor.outcome.value, None)),
         ]
         usage += [(iri(ropaex + "alsoMapsTo"), iri(_expand(t, ropaex))) for t in terms[1:]]
-        return descriptor.value_schema.vocabulary, iri(predicate), verb, frozenset(usage)
+        return registry.table_index(cid), cid, value_pair, verb_pair, frozenset(usage)
 
-    labels = itertools.count()
-    roots: dict[Node, set[tuple[Node, Node]]] = {}
-    usages: dict[Node, frozenset[tuple[Node, Node]]] = {}
+    usage_nodes = _usage_nodes()
+    # Each record IRI's rows, repeats included: the frozenset made of them
+    # keeps each row once.
+    roots: dict[Node, list[tuple[Node, Node]]] = {}
     for record in records:
         root = iri(f"{base}/record/{record.record_id}")
-        pairs = roots.setdefault(root, set())
-        pairs |= {
-            (iri(RDF_NS + "type"), iri(DPV_NS + "PersonalDataHandling")),
-            (iri(ropaex + "controllerName"), literal(record.controller_name, None)),
-            (iri(ropaex + "created"), literal(record.created, XSD_NS + "dateTime")),
-        }
-        concept_usage = iri(ropaex + "conceptUsage")
-        for cid in sorted(record.fields, key=registry.table_index):
-            vocabulary, predicate, verb, usage_pairs = concept(cid)
-            values = record.fields[cid]
-            if verb is None:
-                pairs.update([(predicate, value(v, vocabulary)) for v in values])
-            elif any(v.value is True for v in values):
-                pairs.add((predicate, verb))
-            usage = Node.blank(f"c{next(labels)}")
-            pairs.add((concept_usage, usage))
-            usages[usage] = usage_pairs
-    groups = usages | {root: frozenset(pairs) for root, pairs in roots.items()}
-    return TripleGraph._grouped(groups, namespace_table(ropaex))
+        pairs = roots.setdefault(root, [])
+        pairs += (
+            type_pair,
+            (controller_name, literal(record.controller_name, None)),
+            created_pair(record.created),
+        )
+        fields = record.fields
+        # Distinct concepts have distinct table indexes, so the sort compares
+        # only those.
+        for _, cid, value_pair, verb_pair, usage_pairs in sorted(map(concept, fields)):
+            if value_pair is not None:
+                pairs += map(value_pair, fields[cid])
+            elif any(v.value is True for v in fields[cid]):
+                pairs.append(verb_pair)
+            usage = next(usage_nodes)
+            pairs.append((concept_usage, usage))
+            groups[usage] = usage_pairs
+    groups.update((root, frozenset(pairs)) for root, pairs in roots.items())
+    return graph
 
 
 # -- serialization ---------------------------------------------------------------
@@ -511,8 +544,12 @@ def serialize_jsonld(graph: TripleGraph) -> str:
         graph_nodes.append((sid, '{\n      "@id": ' + _json(sid) + members + "\n    }"))
     graph_nodes.sort(key=itemgetter(0))
     context = [f"{_json(prefix)}: {_json(iri)}" for prefix, iri in namespaces]
-    document = [
-        '"@context": ' + _indented("{", context, "}", "  "),
-        '"@graph": ' + _indented("[", [text for _, text in graph_nodes], "]", "  "),
-    ]
-    return _indented("{", document, "}", "") + "\n"
+    head = '{\n  "@context": ' + _indented("{", context, "}", "  ") + ',\n  "@graph": ['
+    if not graph_nodes:
+        return head + "]\n}\n"
+    # The document is joined once: the head and the tail go onto the first and
+    # the last node's text.
+    texts = [text for _, text in graph_nodes]
+    texts[0] = head + "\n    " + texts[0]
+    texts[-1] += "\n  ]\n}\n"
+    return ",\n    ".join(texts)

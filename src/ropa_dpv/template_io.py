@@ -243,15 +243,25 @@ def _canonical_rows(reader) -> dict[str, dict[str, tuple | dict]]:
     if header is None or tuple(header) != CANONICAL_HEADER:
         raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
     by_record: dict[str, dict[str, tuple | dict]] = {}
+    # The rows of a record are adjacent in a written file: its cells are
+    # looked up again only when the record id changes.
+    record_id = cells = None
     for row in reader:
         if len(row) != 5:
             raise MalformedCsv(reader.line_num, f"expected 5 columns, got {len(row)}")
-        record_id, concept_id, index_cell, kind_tag, value = row
-        cells = by_record.get(record_id)
-        if cells is None:
-            if not _RECORD_ID_RE.fullmatch(record_id):
-                raise MalformedCsv(reader.line_num, f"invalid record id {record_id!r}")
-            cells = by_record[record_id] = {}
+        if row[0] != record_id:
+            record_id = row[0]
+            cells = by_record.get(record_id)
+            if cells is None:
+                if not _RECORD_ID_RE.fullmatch(record_id):
+                    raise MalformedCsv(reader.line_num, f"invalid record id {record_id!r}")
+                cells = by_record[record_id] = {}
+        _, concept_id, index_cell, kind_tag, value = row
+        entry = (reader.line_num, kind_tag, value)
+        cell = cells.get(concept_id)
+        if cell is None and index_cell == "0":  # index 0, read without int()
+            cells[concept_id] = (entry,)
+            continue
         try:
             value_index = int(index_cell)
         except ValueError:
@@ -260,8 +270,6 @@ def _canonical_rows(reader) -> dict[str, dict[str, tuple | dict]]:
             ) from None
         if value_index < 0:
             raise MalformedCsv(reader.line_num, f"negative value_index {value_index}")
-        entry = (reader.line_num, kind_tag, value)
-        cell = cells.get(concept_id)
         if cell is None:
             cells[concept_id] = (entry,) if value_index == 0 else {value_index: entry}
         elif cell.__class__ is tuple:
@@ -345,8 +353,8 @@ def parse_canonical(
             kind, single = plan
             values: list[FieldValue] = []
             for line, kind_tag, value in entries:
-                tag_kind = _KINDS.get(kind_tag)
-                if tag_kind is not kind:
+                if kind_tag != kind:  # a ValueKind equals its tag
+                    tag_kind = _KINDS.get(kind_tag)
                     if tag_kind is None:
                         warnings.append(
                             f"line {line}: unknown value kind {kind_tag!r} for "

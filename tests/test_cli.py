@@ -258,6 +258,25 @@ def test_export_jsonld_to_file(tmp_path, capsys, mandatory_record_file):
     assert "@graph" in body
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_failed_export_leaves_an_existing_out_file_alone(capsys, tmp_path, json_flag):
+    # JSON-LD refuses "dpv:x" only while it writes the document; every check
+    # must still run before --out is opened.
+    record = set_field(
+        new_record("pa-1", "Acme", CREATED), REGISTRY, "data-processing-agreement",
+        field_values(REGISTRY, "data-processing-agreement", "dpv:x"),
+    )
+    source, out = tmp_path / "in.csv", tmp_path / "out.jsonld"
+    source.write_text(write_canonical([record], REGISTRY), encoding="utf-8", newline="")
+    out.write_bytes(b"kept\n")
+    argv = ["export", "--input", str(source), "--format", "jsonld", "--out", str(out)]
+    assert cli_main([*argv, *json_flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "IRI confused with prefix" in captured.err
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_export_json_requires_out(capsys, mandatory_record_file):
     code = cli_main(
         ["export", "--input", str(mandatory_record_file), "--format", "turtle", "--json"]

@@ -217,7 +217,10 @@ def canonical_files(draw):
             rows[at:at + 1] = cell
         else:
             if fault == "index":
-                row[2] = draw(st.sampled_from(["-1", "x", "", "1.0", " 1", "01", "7"]))
+                # The last five are spellings of 0 other than "0"; int() reads them as 0.
+                row[2] = draw(st.sampled_from(
+                    ["-1", "x", "", "1.0", " 1", "01", "7", "00", "+0", " 0", "0 ", "\u0660"]
+                ))
             elif fault == "record_id":
                 row[0] = draw(st.sampled_from(["", "pa 1", "a\u00e9"]))
             else:
@@ -245,6 +248,11 @@ _HEADER_LINE = ",".join(CANONICAL_HEADER) + "\n"
 # though the other belongs to the record seen first
 @example(text=_HEADER_LINE + "A,processor,0,TEXT,x\nB,processor,1,TEXT,y\n"
          "A,data-controller,1,TEXT,z\n")
+# spellings of index 0 other than "0" start a cell and repeat one; an empty
+# index is no spelling of 0
+@example(text=_HEADER_LINE + "A,processor,00,TEXT,x\nA,processor,1,TEXT,y\n"
+         "A,data-controller, 0,TEXT,z\nA,data-controller,+0,TEXT,w\n")
+@example(text=_HEADER_LINE + "A,processor,,TEXT,x\n")
 def test_parse_canonical_matches_reference(text):
     assert _outcome(parse_canonical, text) == _outcome(
         canonical_reference.parse_canonical, text

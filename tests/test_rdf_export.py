@@ -21,6 +21,7 @@ from ropa_dpv import (
     IriConfusedWithPrefix,
     Node,
     NodeKind,
+    RopaRecord,
     Triple,
     TripleGraph,
     empty_graph,
@@ -108,6 +109,17 @@ def test_unmapped_concept_uses_extension_namespace(registry):
 def test_empty_record_graph(registry, empty_record):
     graph = to_graph(empty_record, registry)
     assert len(graph) == 3  # type + controller name + created
+
+
+@pytest.mark.parametrize("created", ["yesterday", "2024-02-30T10:00:00Z", "2024-03-01", ""])
+def test_graph_rejects_a_created_time_that_is_no_xsd_datetime(registry, created):
+    # new_record refuses such a time; a record built directly must not be
+    # written as an invalid xsd:dateTime literal.
+    record = RopaRecord("pa-1", "Acme", created, {})
+    with pytest.raises(ValueError, match=f"^not an xsd:dateTime: {created!r}$"):
+        to_graph(record, registry)
+    with pytest.raises(ValueError, match="not an xsd:dateTime"):
+        records_to_graph([new_record("pa-0", "Acme", CREATED), record], registry)
 
 
 def test_triple_count_is_a_function_of_the_record(registry, golden_record):
