@@ -201,7 +201,7 @@ class SelfCheckReport(NamedTuple):
 class ConceptRegistry:
     """Immutable, queryable view of the embedded concept table."""
 
-    __slots__ = ("rows", "profiles", "vocabularies", "_by_id", "_order")
+    __slots__ = ("rows", "profiles", "vocabularies", "_by_id", "_order", "_plans")
 
     def __init__(
         self,
@@ -215,6 +215,9 @@ class ConceptRegistry:
         init(self, "vocabularies", vocabularies)
         init(self, "_by_id", {row.id: row for row in rows})
         init(self, "_order", {row.id: i for i, row in enumerate(rows)})
+        # Validation plans by profile (None for Article 30), which
+        # ``validation`` builds on first use; derived from the fields above.
+        init(self, "_plans", {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -9,6 +9,14 @@ Two CSV shapes are handled here:
 * spreadsheet-style template files, one processing activity per data row,
   with columns mapped to concepts by a :class:`TemplateProfileConfig`.
 
+The canonical file is read in one pass.  Each row becomes its
+:class:`FieldValue` in its record's field dict as it is read, through a
+per-call memo keyed by ``(concept_id, kind_tag, value)``; only the rows of a
+cell whose value indexes arrive out of order are kept, and filed at the end.
+Warnings come in record order (by each record id's first row), then by cell
+(each concept's first row in the record), then by value index, then the
+record's own metadata warnings.
+
 Parsing is forgiving: schema violations become warnings and the offending
 value is dropped.  Structural failures (invalid UTF-8, bad quoting, a wrong
 header or column count, duplicate cells) are hard errors, and a file raises
@@ -184,8 +192,13 @@ def _read(source: bytes | str, parse):
     This owns the error precedence of the module docstring: when ``parse``
     raises a :class:`RopaError`, the rest of the file is read, and a CSV
     error found there raises instead, as :class:`MalformedCsv`.  Bytes lose a
-    leading BOM, which spreadsheets write.  No field is longer than its input,
-    so ``csv.field_size_limit`` is raised to that length, never lowered."""
+    leading BOM, which spreadsheets write.
+
+    No field is longer than its input, so while ``parse`` runs,
+    ``csv.field_size_limit`` is raised to that length if it is lower, and the
+    previous limit is restored afterwards, also when ``parse`` raises.  The
+    limit is process-wide: a ``csv`` reader in another thread reads with the
+    raised limit meanwhile, so this is not thread-safe."""
     if isinstance(source, bytes):
         try:
             # As the "utf-8-sig" codec does, without importing its module, but
@@ -193,7 +206,9 @@ def _read(source: bytes | str, parse):
             source = source.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise MalformedCsv(0, f"input is not valid UTF-8: {exc}") from exc
-    if csv.field_size_limit() < len(source):
+    limit = csv.field_size_limit()
+    raised = limit < len(source)
+    if raised:
         csv.field_size_limit(len(source))
     reader = csv.reader(io.StringIO(source), strict=True)
     try:
@@ -205,6 +220,9 @@ def _read(source: bytes | str, parse):
             raise
     except csv.Error as exc:
         raise MalformedCsv(reader.line_num, str(exc)) from exc
+    finally:
+        if raised:
+            csv.field_size_limit(limit)
 
 
 def _quote(field: str) -> str:
@@ -225,66 +243,8 @@ def _csv_line(fields: Sequence[str]) -> str:
 # -- canonical interchange format ----------------------------------------------
 
 _KINDS: dict[str, ValueKind] = {kind.value: kind for kind in ValueKind}
-
-
-def _canonical_rows(reader) -> dict[str, dict[str, tuple | dict]]:
-    """record_id -> {concept_id: cell}, both in file order.  Raises on the
-    first bad row.
-
-    A cell is the tuple of its ``(line, kind_tag, value)`` entries while its
-    value indexes arrive as 0, 1, 2, ..., as in every file that
-    :func:`write_canonical` writes.  The first index out of that order turns
-    it into a ``{value_index: entry}`` map, in order of first appearance.
-    A tuple, not a list: the garbage collector stops tracking a tuple of
-    untracked items, so full collections do not rescan every cell while the
-    rest of the file is read.
-    """
-    header = next(reader, None)
-    if header is None or tuple(header) != CANONICAL_HEADER:
-        raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
-    by_record: dict[str, dict[str, tuple | dict]] = {}
-    # The rows of a record are adjacent in a written file: its cells are
-    # looked up again only when the record id changes.
-    record_id = cells = None
-    for row in reader:
-        if len(row) != 5:
-            raise MalformedCsv(reader.line_num, f"expected 5 columns, got {len(row)}")
-        if row[0] != record_id:
-            record_id = row[0]
-            cells = by_record.get(record_id)
-            if cells is None:
-                if not _RECORD_ID_RE.fullmatch(record_id):
-                    raise MalformedCsv(reader.line_num, f"invalid record id {record_id!r}")
-                cells = by_record[record_id] = {}
-        _, concept_id, index_cell, kind_tag, value = row
-        entry = (reader.line_num, kind_tag, value)
-        cell = cells.get(concept_id)
-        if cell is None and index_cell == "0":  # index 0, read without int()
-            cells[concept_id] = (entry,)
-            continue
-        try:
-            value_index = int(index_cell)
-        except ValueError:
-            raise MalformedCsv(
-                reader.line_num, f"value_index is not an integer: {index_cell!r}"
-            ) from None
-        if value_index < 0:
-            raise MalformedCsv(reader.line_num, f"negative value_index {value_index}")
-        if cell is None:
-            cells[concept_id] = (entry,) if value_index == 0 else {value_index: entry}
-        elif cell.__class__ is tuple:
-            if value_index == len(cell):
-                cells[concept_id] = cell + (entry,)
-            elif value_index < len(cell):
-                raise DuplicateCell(record_id, concept_id, value_index)
-            else:
-                cell = cells[concept_id] = dict(enumerate(cell))
-                cell[value_index] = entry
-        elif value_index in cell:
-            raise DuplicateCell(record_id, concept_id, value_index)
-        else:
-            cell[value_index] = entry
-    return by_record
+#: Where a cell's "extra value(s) dropped" warning sorts: after its values' own.
+_AFTER_VALUES = float("inf")
 
 
 def _concept_plan(
@@ -314,100 +274,210 @@ def parse_canonical(
     Returns records in file order plus warnings for every dropped value.
     Structural problems raise :class:`MalformedCsv` or :class:`DuplicateCell`.
     """
-    by_record = _read(source, _canonical_rows)
-    # Per call: each concept's plan, and each valid value by (kind, value),
-    # shared across concepts.  A value that ``from_lexical`` rejects is not
-    # cached, so it is built, and reported, at each occurrence.
+    return _read(source, lambda reader: _canonical_records(reader, registry))
+
+
+def _canonical_records(
+    reader, registry: ConceptRegistry
+) -> tuple[list[RopaRecord], list[str]]:
+    """:func:`parse_canonical` over the rows of ``reader``, in one pass."""
+    header = next(reader, None)
+    if header is None or tuple(header) != CANONICAL_HEADER:
+        raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
     plan_of = functools.cache(lambda concept_id: _concept_plan(concept_id, registry))
-    memo = functools.cache(FieldValue.from_lexical)
-    warnings: list[str] = []
-    records: list[RopaRecord] = []
-    # (first line, record_id, concept_id) per cell whose value indexes do not
-    # run from 0 without a gap; the one seen first in the file is raised.
-    gaps: list[tuple[int, str, str]] = []
-    for record_id, cells in by_record.items():
-        controller_name = None
-        created = None
-        fields: dict[str, tuple[FieldValue, ...]] = {}
-        for concept_id, entries in cells.items():
-            if entries.__class__ is dict:
-                try:
-                    entries = [entries[i] for i in range(len(entries))]
-                except KeyError:
-                    gaps.append((next(iter(entries.values()))[0], record_id, concept_id))
-                    continue
+    # Looked up per call, so that a wrapper put on the class is called.
+    from_lexical = functools.cache(FieldValue.from_lexical)
+    # (concept_id, kind_tag, value) -> the 1-tuple of its FieldValue.  An entry
+    # that is dropped is not cached: it is resolved, and warned, each time.
+    resolved: dict[tuple[str, str, str], tuple[FieldValue]] = {}
+    # record_id -> (record number, fields, cells).  A cell is the line of its
+    # index 0 while that is its only entry; then (line of index 0, entries,
+    # None) while its indexes arrive as 0, 1, 2, ...; from the first index
+    # out of that order on, (first line, entries filed, {index: (line,
+    # kind_tag, value)}), which is filed at the end.
+    by_record: dict[str, tuple[int, dict, dict]] = {}
+    # (record_id, record, concept_id) per cell whose indexes arrive out of order
+    pending_cells: list[tuple[str, tuple[int, dict, dict], str]] = []
+    meta: dict[tuple[int, str], str] = {}  # (record number, metadata id) -> value
+    # (record number, concept_id or None, place in the cell, text): sorted
+    # once at the end into record, cell, index order.
+    tagged: list[tuple[int, str | None, int, str]] = []
+    # (record number, concept_id) -> (line of index 0, extra values) for a
+    # single-valued concept given more than one valid value.
+    extra: dict[tuple[int, str], tuple[int, int]] = {}
+    disordered: set[int] = set()  # records whose fields must be put in cell order
+
+    def add(record, concept_id, index, line, line0, kind_tag, value):
+        """File the entry at ``index`` of a cell whose lower indexes are filed,
+        and whose index 0 is on ``line0``."""
+        number, fields, cells = record
+        key = (concept_id, kind_tag, value)
+        one = resolved.get(key)
+        if one is None:
             plan = plan_of(concept_id)
-            if plan is None:
-                if len(entries) > 1:
-                    warnings.append(
-                        f"line {entries[1][0]}: extra {concept_id} value(s) ignored"
-                    )
-                if concept_id == META_CONTROLLER_NAME:
-                    controller_name = entries[0][2]
-                else:
-                    created = entries[0][2]
-                continue
+            if plan is None:  # record metadata: its first value counts
+                if index == 0:
+                    meta[number, concept_id] = value
+                elif index == 1:
+                    tagged.append((number, concept_id, 1,
+                                   f"line {line}: extra {concept_id} value(s) ignored"))
+                return
             if plan.__class__ is str:
-                warnings.append(f"line {entries[0][0]}: {plan}")
+                if index == 0:
+                    tagged.append((number, concept_id, 0, f"line {line}: {plan}"))
+                return
+            kind = plan[0]
+            if kind_tag != kind:  # a ValueKind equals its tag
+                tag_kind = _KINDS.get(kind_tag)
+                if tag_kind is None:
+                    text = f"unknown value kind {kind_tag!r} for {concept_id!r}"
+                else:
+                    text = f"{concept_id!r} expects {kind.value}, got {tag_kind.value}"
+                tagged.append((number, concept_id, index, f"line {line}: {text}; value dropped"))
+                return
+            try:
+                one = resolved[key] = (from_lexical(kind, value),)
+            except ValueError as exc:
+                tagged.append((number, concept_id, index,
+                               f"line {line}: {concept_id!r}: {exc}; value dropped"))
+                return
+        values = fields.get(concept_id)
+        if values is None:
+            fields[concept_id] = one
+            if concept_id != next(reversed(cells)):  # a cell read later may hold values
+                disordered.add(number)
+        elif plan_of(concept_id)[1]:  # single-valued: the first valid value counts
+            count = extra.get((number, concept_id), (0, 0))[1]
+            extra[number, concept_id] = (line0, count + 1)
+        else:
+            fields[concept_id] = values + one
+
+    # The rows of a record are adjacent in a written file: its state is
+    # looked up again only when the record id changes.
+    record_id = None
+    for row in reader:
+        try:
+            rid, concept_id, index_cell, kind_tag, value = row
+        except ValueError:
+            raise MalformedCsv(
+                reader.line_num, f"expected 5 columns, got {len(row)}"
+            ) from None
+        if rid != record_id:
+            record_id = rid
+            record = by_record.get(rid)
+            if record is None:
+                if not _RECORD_ID_RE.fullmatch(rid):
+                    raise MalformedCsv(reader.line_num, f"invalid record id {rid!r}")
+                record = by_record[rid] = (len(by_record), {}, {})
+            fields, cells = record[1], record[2]
+        cell = cells.get(concept_id)
+        if cell is None and index_cell == "0":  # index 0, read without int()
+            index = 0
+        else:
+            try:
+                index = int(index_cell)
+            except ValueError:
+                raise MalformedCsv(
+                    reader.line_num, f"value_index is not an integer: {index_cell!r}"
+                ) from None
+            if index < 0:
+                raise MalformedCsv(reader.line_num, f"negative value_index {index}")
+        line = reader.line_num
+        if cell is None:
+            if index:
+                cells[concept_id] = (line, 0, {index: (line, kind_tag, value)})
+                pending_cells.append((rid, record, concept_id))
                 continue
-            kind, single = plan
-            values: list[FieldValue] = []
-            for line, kind_tag, value in entries:
-                if kind_tag != kind:  # a ValueKind equals its tag
-                    tag_kind = _KINDS.get(kind_tag)
-                    if tag_kind is None:
-                        warnings.append(
-                            f"line {line}: unknown value kind {kind_tag!r} for "
-                            f"{concept_id!r}; value dropped"
-                        )
-                    else:
-                        warnings.append(
-                            f"line {line}: {concept_id!r} expects {kind.value}, "
-                            f"got {tag_kind.value}; value dropped"
-                        )
-                    continue
-                try:
-                    values.append(memo(kind, value))
-                except ValueError as exc:
-                    warnings.append(f"line {line}: {concept_id!r}: {exc}; value dropped")
-            if single and len(values) > 1:
-                warnings.append(
-                    f"line {entries[0][0]}: {concept_id!r} holds a single value; "
-                    f"{len(values) - 1} extra value(s) dropped"
-                )
-                values = values[:1]
-            if values:
-                fields[concept_id] = tuple(values)
-        if controller_name is None or not controller_name:
-            warnings.append(
-                f"record {record_id!r}: missing {META_CONTROLLER_NAME}; "
-                f"using {FALLBACK_CONTROLLER_NAME!r}"
-            )
+            cells[concept_id] = line
+            one = resolved.get((concept_id, kind_tag, value))
+            if one is not None:  # add()'s common case, inline
+                fields[concept_id] = one
+            else:
+                add(record, concept_id, 0, line, line, kind_tag, value)
+            continue
+        line0, filed, pending = (cell, 1, None) if cell.__class__ is int else cell
+        if index == filed and pending is None:
+            cells[concept_id] = (line0, filed + 1, None)
+            # add()'s common case, inline: a known value for a cell that holds many
+            one = resolved.get((concept_id, kind_tag, value))
+            values = fields.get(concept_id)
+            if one is not None and values is not None and not plan_of(concept_id)[1]:
+                fields[concept_id] = values + one
+            else:
+                add(record, concept_id, index, line, line0, kind_tag, value)
+        elif index < filed or (pending is not None and index in pending):
+            raise DuplicateCell(rid, concept_id, index)
+        elif pending is None:
+            cells[concept_id] = (line0, filed, {index: (line, kind_tag, value)})
+            pending_cells.append((rid, record, concept_id))
+        else:
+            pending[index] = (line, kind_tag, value)
+
+    # The cells whose indexes arrived out of order: the first one in the file
+    # with a gap is raised, else each is filed in index order.
+    gaps = []
+    for rid, record, concept_id in pending_cells:
+        first, filed, pending = record[2][concept_id]
+        if any(i not in pending for i in range(filed, filed + len(pending))):
+            gaps.append((first, rid, concept_id))
+    if gaps:
+        line, rid, concept_id = min(gaps)
+        raise MalformedCsv(
+            line, f"value_index not contiguous from 0 for ({rid!r}, {concept_id!r})"
+        )
+    for rid, record, concept_id in pending_cells:
+        first, filed, pending = record[2][concept_id]
+        line0 = first if filed else pending[0][0]
+        for index in range(filed, filed + len(pending)):
+            line, kind_tag, value = pending[index]
+            add(record, concept_id, index, line, line0, kind_tag, value)
+        disordered.add(record[0])
+
+    for (number, concept_id), (line0, count) in extra.items():
+        tagged.append((number, concept_id, _AFTER_VALUES,
+                       f"line {line0}: {concept_id!r} holds a single value; "
+                       f"{count} extra value(s) dropped"))
+    records: list[RopaRecord] = []
+    for rid, (number, fields, cells) in by_record.items():
+        if number in disordered:
+            fields = {c: fields[c] for c in cells if c in fields}
+        controller_name = meta.get((number, META_CONTROLLER_NAME))
+        if not controller_name:
+            tagged.append((number, None, 0,
+                           f"record {rid!r}: missing {META_CONTROLLER_NAME}; "
+                           f"using {FALLBACK_CONTROLLER_NAME!r}"))
             controller_name = FALLBACK_CONTROLLER_NAME
         elif has_surrogate(controller_name):
-            warnings.append(
-                f"record {record_id!r}: controller name {controller_name!r} holds a "
-                f"lone surrogate; using {FALLBACK_CONTROLLER_NAME!r}"
-            )
+            tagged.append((number, None, 0,
+                           f"record {rid!r}: controller name {controller_name!r} holds a "
+                           f"lone surrogate; using {FALLBACK_CONTROLLER_NAME!r}"))
             controller_name = FALLBACK_CONTROLLER_NAME
+        created = meta.get((number, META_CREATED))
         if created is None:
-            warnings.append(
-                f"record {record_id!r}: missing {META_CREATED}; using {FALLBACK_CREATED!r}"
-            )
+            tagged.append((number, None, 1,
+                           f"record {rid!r}: missing {META_CREATED}; "
+                           f"using {FALLBACK_CREATED!r}"))
             created = FALLBACK_CREATED
         elif not is_xsd_datetime(created):
-            warnings.append(
-                f"record {record_id!r}: invalid created timestamp {created!r}; "
-                f"using {FALLBACK_CREATED!r}"
-            )
+            tagged.append((number, None, 1,
+                           f"record {rid!r}: invalid created timestamp {created!r}; "
+                           f"using {FALLBACK_CREATED!r}"))
             created = FALLBACK_CREATED
-        records.append(RopaRecord(record_id, controller_name, created, fields))
-    if gaps:
-        line, record_id, concept_id = min(gaps)
-        raise MalformedCsv(
-            line, f"value_index not contiguous from 0 for ({record_id!r}, {concept_id!r})"
-        )
-    return records, warnings
+        records.append(RopaRecord(rid, controller_name, created, fields))
+
+    # A record's metadata warnings come after those of its cells.
+    cells_of = [cells for _, _, cells in by_record.values()]
+    places: dict[int, dict[str, int]] = {}
+
+    def order(warning):
+        number, concept_id, at, _ = warning
+        place = places.get(number)
+        if place is None:
+            place = places[number] = {c: i for i, c in enumerate(cells_of[number])}
+        return number, place.get(concept_id, len(place)), at
+
+    tagged.sort(key=order)
+    return records, [warning[3] for warning in tagged]
 
 
 def _last_fields(value: FieldValue | str) -> tuple[str, str]:

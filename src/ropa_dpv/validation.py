@@ -3,6 +3,14 @@
 Validation is total: malformed content becomes findings, never exceptions,
 so batch audits always complete.  Findings are ordered by registry table
 order, then by finding code.
+
+Each check follows a plan, built once per registry and profile: per concept,
+in table order, what checking it takes and the finding it yields when it is
+not populated.  A populated concept's findings are built only when one of
+its values fails a check.  The plans are kept in a private slot of the
+:class:`ConceptRegistry`, keyed by the profile (None for Article 30).  They
+derive from the registry alone, never from a record, so there are no more of
+them than distinct profiles validated against.
 """
 
 from __future__ import annotations
@@ -96,26 +104,66 @@ def _value_findings(
     return findings
 
 
+def _plan(registry: ConceptRegistry, profile: JurisdictionProfile | None) -> tuple:
+    """``(rows, gaps)`` for ``profile`` (None for Article 30), built on first use.
+
+    ``rows`` holds ``(concept_id, schema, kind, single, known terms or None,
+    missing finding or None)`` per concept, in table order.  For Article 30
+    only, ``gaps`` pairs each jurisdiction with its non-mandatory concepts.
+    """
+    plans = registry._plans
+    plan = plans.get(profile)
+    if plan is None:  # threads that race here build equal plans; either is kept
+        rows = []
+        for descriptor in registry.concepts:
+            cid, schema = descriptor.id, descriptor.value_schema
+            kind = schema.kind
+            known = None
+            if kind in (ValueKind.TERM, ValueKind.TERM_LIST) and schema.vocabulary:
+                known = registry.known_terms(schema.vocabulary) or None
+            missing = None
+            if descriptor.mandatory:
+                missing = _finding(cid, FindingCode.MISSING_MANDATORY,
+                                   f"mandatory concept {cid!r} is not populated")
+            elif profile is not None and cid in profile.concepts:
+                missing = _finding(cid, FindingCode.MISSING_PROFILE_FIELD,
+                                   f"{profile.jurisdiction.value} template expects {cid!r}")
+            rows.append((cid, schema, kind, schema.multiplicity is Multiplicity.ONE,
+                         known, missing))
+        gaps = ()
+        if profile is None:
+            mandatory = registry.mandatory_concepts()
+            gaps = tuple(
+                (j, registry.profiles[j].concepts.difference(mandatory)) for j in Jurisdiction
+            )
+        plan = plans[profile] = (tuple(rows), gaps)
+    return plan
+
+
 def _validate(
     record: RopaRecord,
     registry: ConceptRegistry,
     profile: JurisdictionProfile | None,
 ) -> ValidationReport:
-    # _value_findings already emits each concept's findings in code order.
-    # Populated means present in ``record.fields``, even with no values.
+    # Populated means present in ``record.fields``, even with no values.  A
+    # populated concept's findings are built only when a value is of the
+    # wrong kind, is one too many or is an unseeded term; _value_findings
+    # emits them in code order.
     fields = record.fields
     findings: list[ValidationFinding] = []
-    for descriptor in registry.concepts:
-        cid = descriptor.id
+    for cid, schema, kind, single, known, missing in _plan(registry, profile)[0]:
         values = fields.get(cid)
-        if values is not None:
-            findings += _value_findings(cid, descriptor.value_schema, values, registry)
-        elif descriptor.mandatory:
-            findings.append(_finding(cid, FindingCode.MISSING_MANDATORY,
-                                     f"mandatory concept {cid!r} is not populated"))
-        elif profile is not None and cid in profile.concepts:
-            findings.append(_finding(cid, FindingCode.MISSING_PROFILE_FIELD,
-                                     f"{profile.jurisdiction.value} template expects {cid!r}"))
+        if values is None:
+            if missing is not None:
+                findings.append(missing)
+        else:
+            for v in values:
+                if v.kind is not kind or (known is not None and v.value not in known):
+                    break
+            else:
+                if not (single and len(values) > 1):
+                    continue
+            findings += _value_findings(cid, schema, values, registry)
     return ValidationReport(findings=tuple(findings))
 
 
@@ -152,10 +200,10 @@ def gap_matrix(
     and zero warnings for that jurisdiction.
     """
     report = validate_article30(record, registry)
-    errors, warnings = report.error_count, report.warning_count
-    mandatory = registry.mandatory_concepts()
+    errors = report.error_count
+    warnings = len(report.findings) - errors
     matrix: dict[Jurisdiction, GapStatus] = {}
-    for j in Jurisdiction:
-        missing = len(registry.profiles[j].concepts.difference(record.fields, mandatory))
+    for j, gaps in _plan(registry, None)[1]:
+        missing = len(gaps.difference(record.fields))
         matrix[j] = GapStatus(errors, warnings + missing, not (errors or warnings or missing))
     return matrix

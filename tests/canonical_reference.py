@@ -3,9 +3,11 @@
 This is the straightforward form of ``ropa_dpv.template_io.parse_canonical``:
 every row is kept in a per-cell entry list and a set of seen
 ``(record, concept, index)`` keys, and each cell's indexes are sorted to
-check that they run from 0 without a gap.  The package keeps each cell as
-one index-keyed map; it must give the same records and warnings, or raise
-the same exception with the same text, as this.
+check that they run from 0 without a gap.  The package reads each row once,
+straight into its record's fields, and keeps the rows only of a cell whose
+indexes arrive out of order; it must give the same records, with their
+fields in the same order, and the same warnings, or raise the same exception
+with the same text, as this.
 """
 
 from __future__ import annotations

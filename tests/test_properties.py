@@ -12,8 +12,10 @@ import canonical_reference
 import rdf_reference
 import validation_reference
 from ropa_dpv import (
+    ConceptRegistry,
     FieldValue,
     Jurisdiction,
+    JurisdictionProfile,
     Multiplicity,
     RopaError,
     RopaRecord,
@@ -253,10 +255,23 @@ _HEADER_LINE = ",".join(CANONICAL_HEADER) + "\n"
 @example(text=_HEADER_LINE + "A,processor,00,TEXT,x\nA,processor,1,TEXT,y\n"
          "A,data-controller, 0,TEXT,z\nA,data-controller,+0,TEXT,w\n")
 @example(text=_HEADER_LINE + "A,processor,,TEXT,x\n")
+# The parse reads each row once, so these rows reach a cell after its first:
+# a value after a dropped index 0, with another cell in between ...
+@example(text=_HEADER_LINE + "A,processor,0,XX,x\nA,data-controller,0,TEXT,z\n"
+         "A,processor,1,TEXT,y\n")
+# ... two valid values after an invalid first one, on a single-valued concept ...
+@example(text=_HEADER_LINE + "A,privacy-notice,0,URI,not an iri\n"
+         "A,privacy-notice,1,URI,https://example.com/a\n"
+         "A,privacy-notice,2,URI,urn:x\n")
+# ... and a second created time, not next to the first.
+@example(text=_HEADER_LINE + "A,_meta:created,0,TEXT,2024-03-01T10:00:00Z\n"
+         "A,processor,0,TEXT,x\nA,_meta:created,1,TEXT,2024-03-01\n")
 def test_parse_canonical_matches_reference(text):
-    assert _outcome(parse_canonical, text) == _outcome(
-        canonical_reference.parse_canonical, text
-    )
+    outcome = _outcome(parse_canonical, text)
+    expected = _outcome(canonical_reference.parse_canonical, text)
+    assert outcome == expected
+    if isinstance(expected[0], list):  # records: their fields in the same order too
+        assert [list(r.fields) for r in outcome[0]] == [list(r.fields) for r in expected[0]]
 
 
 @_settings
@@ -421,6 +436,15 @@ def test_gap_matrix_agrees_with_profile_validation(record):
 
 
 _TEXT_VALUE = (FieldValue(ValueKind.TEXT, "x"),)
+#: A CY profile that is not the registry's: every third concept.
+_HAND_BUILT_PROFILE = JurisdictionProfile(Jurisdiction.CY, 12, frozenset(ALL_IDS[::3]))
+#: The registry with every mandatory flag flipped and every other seeded
+#: vocabulary left free.
+_OTHER_REGISTRY = ConceptRegistry(
+    tuple(row._replace(mandatory=not row.mandatory) for row in REGISTRY.rows),
+    REGISTRY.profiles,
+    dict(sorted(REGISTRY.vocabularies.items())[::2]),
+)
 
 
 @_settings
@@ -432,14 +456,16 @@ _TEXT_VALUE = (FieldValue(ValueKind.TEXT, "x"),)
 @example(record=RopaRecord("unknown-id", "Acme", CREATED, {"no-such-concept": _TEXT_VALUE}))
 @example(record=RopaRecord("container", "Acme", CREATED, {REGISTRY.container.id: _TEXT_VALUE}))
 def test_validation_matches_reference(record):
-    expected = validation_reference.validate_article30(record, REGISTRY)
-    assert validate_article30(record, REGISTRY) == expected
-    for j in Jurisdiction:
-        profile = REGISTRY.profiles[j]
-        expected = validation_reference.validate_against_profile(record, profile, REGISTRY)
-        assert validate_against_profile(record, profile, REGISTRY) == expected
-    expected = validation_reference.gap_matrix(record, REGISTRY)
-    assert list(gap_matrix(record, REGISTRY).items()) == list(expected.items())
+    # Each registry keeps its own plans, one per profile: the hand-built
+    # profile shares its jurisdiction with a profile of the registry.
+    for registry in (REGISTRY, _OTHER_REGISTRY):
+        expected = validation_reference.validate_article30(record, registry)
+        assert validate_article30(record, registry) == expected
+        for profile in [*registry.profiles.values(), _HAND_BUILT_PROFILE]:
+            expected = validation_reference.validate_against_profile(record, profile, registry)
+            assert validate_against_profile(record, profile, registry) == expected
+        expected = validation_reference.gap_matrix(record, registry)
+        assert list(gap_matrix(record, registry).items()) == list(expected.items())
 
 
 _IRI_OPTIONS = st.sampled_from([

@@ -1,6 +1,8 @@
 """Registry loading, lookups and aggregate statistics."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import zipfile
@@ -13,7 +15,10 @@ from ropa_dpv import (
     Jurisdiction,
     MappingOutcome,
     UnknownConcept,
+    gap_matrix,
     load_registry,
+    new_record,
+    validate_against_profile,
 )
 import ropa_dpv.registry as registry_module
 from ropa_dpv.cli import cli_main
@@ -46,6 +51,20 @@ def test_cardinality(registry):
 
 def test_repeated_loads_compare_equal(registry):
     assert load_registry() == registry
+
+
+def test_a_registry_that_has_validated_copies_and_compares_equal():
+    # Validation keeps its plans on the registry; they are no part of its
+    # value, and a copy starts without them.
+    used = load_registry()
+    record = new_record("pa-1", "Acme GmbH", "2024-03-01T10:00:00Z")
+    report = validate_against_profile(record, used.profiles[Jurisdiction.CY], used)
+    matrix = gap_matrix(record, used)
+    fresh = load_registry()
+    for copied in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+        assert copied == used == fresh and copied is not used
+        assert validate_against_profile(record, copied.profiles[Jurisdiction.CY], copied) == report
+        assert gap_matrix(record, copied) == matrix
 
 
 def test_concept_lookup_purposes(registry):

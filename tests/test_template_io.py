@@ -379,6 +379,30 @@ def test_a_value_longer_than_the_csv_field_limit_reads_back(registry, long_value
     assert warnings == [] and imported[0].fields == record.fields
 
 
+def test_reading_a_long_field_puts_the_csv_field_limit_back(registry, long_value_record):
+    """The readers raise the process-wide ``csv.field_size_limit`` only while
+    they read, whether the read succeeds or fails."""
+    limit = csv.field_size_limit()
+    config = default_config(registry, Jurisdiction.CY)
+    canonical = write_canonical([long_value_record], registry)
+    template, _ = export_template(long_value_record, config, registry)
+    import_cy = lambda source, registry: import_template(source, config, registry)  # noqa: E731
+    for read, text, fails in [
+        (parse_canonical, canonical, False),
+        (parse_canonical, canonical + "pa-long,processor,0,TEXT\n", True),
+        (import_cy, template, False),
+        (import_cy, template + "x\n", True),
+    ]:
+        if fails:
+            with pytest.raises(MalformedCsv, match="expected"):
+                read(text.encode(), registry)
+        else:
+            read(text.encode(), registry)
+        assert csv.field_size_limit() == limit == 131_072
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            list(csv.reader(io.StringIO(text)))
+
+
 def test_a_leading_bom_is_skipped(registry, full_record):
     # Spreadsheets save "CSV UTF-8" with a BOM before the first header.
     bom = "\ufeff".encode()

@@ -4,9 +4,9 @@
 forms of those in ``ropa_dpv.validation``: each concept's schema is looked up
 in the registry and its values read through ``record.has`` and
 ``record.values``, and ``gap_matrix`` reads the Article 30 report's counts
-through its properties for each jurisdiction.  The package must give equal
-reports and matrices: the same findings, in the same order, with the same
-messages.
+through its properties for each jurisdiction.  The package validates from a
+plan per registry and profile instead; it must give equal reports and
+matrices: the same findings, in the same order, with the same messages.
 """
 
 from __future__ import annotations
