@@ -9,13 +9,14 @@ Two CSV shapes are handled here:
 * spreadsheet-style template files, one processing activity per data row,
   with columns mapped to concepts by a :class:`TemplateProfileConfig`.
 
-The canonical file is read in one pass.  Each row becomes its
-:class:`FieldValue` in its record's field dict as it is read, through a
-per-call memo keyed by ``(concept_id, kind_tag, value)``; only the rows of a
-cell whose value indexes arrive out of order are kept, and filed at the end.
-Warnings come in record order (by each record id's first row), then by cell
-(each concept's first row in the record), then by value index, then the
-record's own metadata warnings.
+The canonical file is read in two steps.  First each row is read once and
+filed in its cell, as what it yields (its value, or the warning for a value
+dropped), through a per-call memo keyed by ``(concept_id, kind_tag, value)``;
+an index read before the one it follows waits until that one is filed.
+Then each record is built from its cells, in order.  So warnings come in
+record order (by each record id's first row), then by cell (each concept's
+first row in the record), then by value index, then the record's own
+metadata warnings.
 
 Parsing is forgiving: schema violations become warnings and the offending
 value is dropped.  Structural failures (invalid UTF-8, bad quoting, a wrong
@@ -32,6 +33,7 @@ a bare CR for a line end; a row of one empty field is written ``""``.
 
 from __future__ import annotations
 
+import _thread
 import csv
 import functools
 import io
@@ -185,6 +187,9 @@ def _representable(values: Iterable[FieldValue]) -> bool:
 
 # -- CSV plumbing --------------------------------------------------------------
 
+#: Held by each read from reading ``csv.field_size_limit`` to restoring it.
+_FIELD_LIMIT_LOCK = _thread.allocate_lock()
+
 
 def _read(source: bytes | str, parse):
     """``parse(reader)`` over a strict ``csv.reader`` of ``source``.
@@ -197,8 +202,11 @@ def _read(source: bytes | str, parse):
     No field is longer than its input, so while ``parse`` runs,
     ``csv.field_size_limit`` is raised to that length if it is lower, and the
     previous limit is restored afterwards, also when ``parse`` raises.  The
-    limit is process-wide: a ``csv`` reader in another thread reads with the
-    raised limit meanwhile, so this is not thread-safe."""
+    limit is process-wide, so a read holds :data:`_FIELD_LIMIT_LOCK` from
+    reading the limit to restoring it: reads in two threads take turns, and
+    neither lowers the limit under the other.  So ``parse`` must not read
+    through this function itself.  A ``csv`` reader outside this module still
+    reads with the raised limit meanwhile."""
     if isinstance(source, bytes):
         try:
             # As the "utf-8-sig" codec does, without importing its module, but
@@ -206,23 +214,24 @@ def _read(source: bytes | str, parse):
             source = source.decode("utf-8").removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise MalformedCsv(0, f"input is not valid UTF-8: {exc}") from exc
-    limit = csv.field_size_limit()
-    raised = limit < len(source)
-    if raised:
-        csv.field_size_limit(len(source))
-    reader = csv.reader(io.StringIO(source), strict=True)
-    try:
-        try:
-            return parse(reader)
-        except RopaError:
-            for _ in reader:  # a CSV error further on wins
-                pass
-            raise
-    except csv.Error as exc:
-        raise MalformedCsv(reader.line_num, str(exc)) from exc
-    finally:
+    with _FIELD_LIMIT_LOCK:
+        limit = csv.field_size_limit()
+        raised = limit < len(source)
         if raised:
-            csv.field_size_limit(limit)
+            csv.field_size_limit(len(source))
+        reader = csv.reader(io.StringIO(source), strict=True)
+        try:
+            try:
+                return parse(reader)
+            except RopaError:
+                for _ in reader:  # a CSV error further on wins
+                    pass
+                raise
+        except csv.Error as exc:
+            raise MalformedCsv(reader.line_num, str(exc)) from exc
+        finally:
+            if raised:
+                csv.field_size_limit(limit)
 
 
 def _quote(field: str) -> str:
@@ -243,8 +252,6 @@ def _csv_line(fields: Sequence[str]) -> str:
 # -- canonical interchange format ----------------------------------------------
 
 _KINDS: dict[str, ValueKind] = {kind.value: kind for kind in ValueKind}
-#: Where a cell's "extra value(s) dropped" warning sorts: after its values' own.
-_AFTER_VALUES = float("inf")
 
 
 def _concept_plan(
@@ -280,7 +287,8 @@ def parse_canonical(
 def _canonical_records(
     reader, registry: ConceptRegistry
 ) -> tuple[list[RopaRecord], list[str]]:
-    """:func:`parse_canonical` over the rows of ``reader``, in one pass."""
+    """:func:`parse_canonical` over the rows of ``reader``: each row is filed
+    in its cell as it is read, then each record is built from its cells."""
     header = next(reader, None)
     if header is None or tuple(header) != CANONICAL_HEADER:
         raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
@@ -290,69 +298,41 @@ def _canonical_records(
     # (concept_id, kind_tag, value) -> the 1-tuple of its FieldValue.  An entry
     # that is dropped is not cached: it is resolved, and warned, each time.
     resolved: dict[tuple[str, str, str], tuple[FieldValue]] = {}
-    # record_id -> (record number, fields, cells).  A cell is the line of its
-    # index 0 while that is its only entry; then (line of index 0, entries,
-    # None) while its indexes arrive as 0, 1, 2, ...; from the first index
-    # out of that order on, (first line, entries filed, {index: (line,
-    # kind_tag, value)}), which is filed at the end.
-    by_record: dict[str, tuple[int, dict, dict]] = {}
-    # (record_id, record, concept_id) per cell whose indexes arrive out of order
-    pending_cells: list[tuple[str, tuple[int, dict, dict], str]] = []
-    meta: dict[tuple[int, str], str] = {}  # (record number, metadata id) -> value
-    # (record number, concept_id or None, place in the cell, text): sorted
-    # once at the end into record, cell, index order.
-    tagged: list[tuple[int, str | None, int, str]] = []
-    # (record number, concept_id) -> (line of index 0, extra values) for a
-    # single-valued concept given more than one valid value.
-    extra: dict[tuple[int, str], tuple[int, int]] = {}
-    disordered: set[int] = set()  # records whose fields must be put in cell order
 
-    def add(record, concept_id, index, line, line0, kind_tag, value):
-        """File the entry at ``index`` of a cell whose lower indexes are filed,
-        and whose index 0 is on ``line0``."""
-        number, fields, cells = record
-        key = (concept_id, kind_tag, value)
-        one = resolved.get(key)
-        if one is None:
-            plan = plan_of(concept_id)
-            if plan is None:  # record metadata: its first value counts
-                if index == 0:
-                    meta[number, concept_id] = value
-                elif index == 1:
-                    tagged.append((number, concept_id, 1,
-                                   f"line {line}: extra {concept_id} value(s) ignored"))
-                return
-            if plan.__class__ is str:
-                if index == 0:
-                    tagged.append((number, concept_id, 0, f"line {line}: {plan}"))
-                return
-            kind = plan[0]
-            if kind_tag != kind:  # a ValueKind equals its tag
-                tag_kind = _KINDS.get(kind_tag)
-                if tag_kind is None:
-                    text = f"unknown value kind {kind_tag!r} for {concept_id!r}"
-                else:
-                    text = f"{concept_id!r} expects {kind.value}, got {tag_kind.value}"
-                tagged.append((number, concept_id, index, f"line {line}: {text}; value dropped"))
-                return
-            try:
-                one = resolved[key] = (from_lexical(kind, value),)
-            except ValueError as exc:
-                tagged.append((number, concept_id, index,
-                               f"line {line}: {concept_id!r}: {exc}; value dropped"))
-                return
-        values = fields.get(concept_id)
-        if values is None:
-            fields[concept_id] = one
-            if concept_id != next(reversed(cells)):  # a cell read later may hold values
-                disordered.add(number)
-        elif plan_of(concept_id)[1]:  # single-valued: the first valid value counts
-            count = extra.get((number, concept_id), (0, 0))[1]
-            extra[number, concept_id] = (line0, count + 1)
-        else:
-            fields[concept_id] = values + one
+    def entry(concept_id, index, line, kind_tag, value):
+        """What the row at ``index`` of a cell files there: its value's
+        1-tuple, the warning for a value dropped, record metadata's value at
+        index 0, or None."""
+        plan = plan_of(concept_id)
+        if plan is None:  # record metadata: its first value counts
+            if index == 0:
+                return value
+            return f"line {line}: extra {concept_id} value(s) ignored" if index == 1 else None
+        if plan.__class__ is str:
+            return f"line {line}: {plan}" if index == 0 else None
+        kind = plan[0]
+        if kind_tag != kind:  # a ValueKind equals its tag
+            tag_kind = _KINDS.get(kind_tag)
+            if tag_kind is None:
+                text = f"unknown value kind {kind_tag!r} for {concept_id!r}"
+            else:
+                text = f"{concept_id!r} expects {kind.value}, got {tag_kind.value}"
+            return f"line {line}: {text}; value dropped"
+        try:
+            one = resolved[concept_id, kind_tag, value] = (from_lexical(kind, value),)
+        except ValueError as exc:
+            return f"line {line}: {concept_id!r}: {exc}; value dropped"
+        return one
 
-    # The rows of a record are adjacent in a written file: its state is
+    # record_id -> {concept_id: cell}, both in order of first appearance.  A
+    # cell is [line of index 0, entry 0, entry 1, ...]; before its index 0 is
+    # read, it holds only the line of its first row.
+    by_record: dict[str, dict[str, list]] = {}
+    # (record_id, concept_id) -> (line of the cell's first row, {index: (line,
+    # kind_tag, value)}): the indexes read before the one they follow.  It is
+    # kept when emptied, since a gap found later is raised at that line.
+    pending: dict[tuple[str, str], tuple[int, dict[int, tuple[int, str, str]]]] = {}
+    # The rows of a record are adjacent in a written file: its cells are
     # looked up again only when the record id changes.
     record_id = None
     for row in reader:
@@ -364,120 +344,101 @@ def _canonical_records(
             ) from None
         if rid != record_id:
             record_id = rid
-            record = by_record.get(rid)
-            if record is None:
+            cells = by_record.get(rid)
+            if cells is None:
                 if not _RECORD_ID_RE.fullmatch(rid):
                     raise MalformedCsv(reader.line_num, f"invalid record id {rid!r}")
-                record = by_record[rid] = (len(by_record), {}, {})
-            fields, cells = record[1], record[2]
+                cells = by_record[rid] = {}
         cell = cells.get(concept_id)
-        if cell is None and index_cell == "0":  # index 0, read without int()
-            index = 0
-        else:
-            try:
-                index = int(index_cell)
-            except ValueError:
-                raise MalformedCsv(
-                    reader.line_num, f"value_index is not an integer: {index_cell!r}"
-                ) from None
-            if index < 0:
-                raise MalformedCsv(reader.line_num, f"negative value_index {index}")
+        if cell is None and index_cell == "0":  # a cell's first row, read without int()
+            line = reader.line_num
+            cells[concept_id] = [line, resolved.get((concept_id, kind_tag, value))
+                                 or entry(concept_id, 0, line, kind_tag, value)]
+            continue
+        try:
+            index = int(index_cell)
+        except ValueError:
+            raise MalformedCsv(
+                reader.line_num, f"value_index is not an integer: {index_cell!r}"
+            ) from None
+        if index < 0:
+            raise MalformedCsv(reader.line_num, f"negative value_index {index}")
         line = reader.line_num
         if cell is None:
-            if index:
-                cells[concept_id] = (line, 0, {index: (line, kind_tag, value)})
-                pending_cells.append((rid, record, concept_id))
-                continue
-            cells[concept_id] = line
-            one = resolved.get((concept_id, kind_tag, value))
-            if one is not None:  # add()'s common case, inline
-                fields[concept_id] = one
-            else:
-                add(record, concept_id, 0, line, line, kind_tag, value)
-            continue
-        line0, filed, pending = (cell, 1, None) if cell.__class__ is int else cell
-        if index == filed and pending is None:
-            cells[concept_id] = (line0, filed + 1, None)
-            # add()'s common case, inline: a known value for a cell that holds many
-            one = resolved.get((concept_id, kind_tag, value))
-            values = fields.get(concept_id)
-            if one is not None and values is not None and not plan_of(concept_id)[1]:
-                fields[concept_id] = values + one
-            else:
-                add(record, concept_id, index, line, line0, kind_tag, value)
-        elif index < filed or (pending is not None and index in pending):
+            cell = cells[concept_id] = [line]
+        if index == len(cell) - 1:  # it follows the cell's last index
+            if index == 0:
+                cell[0] = line
+            cell.append(resolved.get((concept_id, kind_tag, value))
+                        or entry(concept_id, index, line, kind_tag, value))
+            if pending and (rid, concept_id) in pending:  # the indexes that follow it
+                waiting = pending[rid, concept_id][1]
+                while (index := index + 1) in waiting:
+                    line, kind_tag, value = waiting.pop(index)
+                    cell.append(resolved.get((concept_id, kind_tag, value))
+                                or entry(concept_id, index, line, kind_tag, value))
+        elif index < len(cell) - 1:
             raise DuplicateCell(rid, concept_id, index)
-        elif pending is None:
-            cells[concept_id] = (line0, filed, {index: (line, kind_tag, value)})
-            pending_cells.append((rid, record, concept_id))
         else:
-            pending[index] = (line, kind_tag, value)
+            waiting = pending.setdefault((rid, concept_id), (cell[0], {}))[1]
+            if index in waiting:
+                raise DuplicateCell(rid, concept_id, index)
+            waiting[index] = (line, kind_tag, value)
 
-    # The cells whose indexes arrived out of order: the first one in the file
-    # with a gap is raised, else each is filed in index order.
-    gaps = []
-    for rid, record, concept_id in pending_cells:
-        first, filed, pending = record[2][concept_id]
-        if any(i not in pending for i in range(filed, filed + len(pending))):
-            gaps.append((first, rid, concept_id))
+    # An index still waiting is a gap: the first such cell in the file is raised.
+    gaps = [(first, rid, cid) for (rid, cid), (first, waiting) in pending.items() if waiting]
     if gaps:
         line, rid, concept_id = min(gaps)
         raise MalformedCsv(
             line, f"value_index not contiguous from 0 for ({rid!r}, {concept_id!r})"
         )
-    for rid, record, concept_id in pending_cells:
-        first, filed, pending = record[2][concept_id]
-        line0 = first if filed else pending[0][0]
-        for index in range(filed, filed + len(pending)):
-            line, kind_tag, value = pending[index]
-            add(record, concept_id, index, line, line0, kind_tag, value)
-        disordered.add(record[0])
 
-    for (number, concept_id), (line0, count) in extra.items():
-        tagged.append((number, concept_id, _AFTER_VALUES,
-                       f"line {line0}: {concept_id!r} holds a single value; "
-                       f"{count} extra value(s) dropped"))
     records: list[RopaRecord] = []
-    for rid, (number, fields, cells) in by_record.items():
-        if number in disordered:
-            fields = {c: fields[c] for c in cells if c in fields}
-        controller_name = meta.get((number, META_CONTROLLER_NAME))
+    warnings: list[str] = []
+    for rid, cells in by_record.items():
+        fields: dict[str, tuple[FieldValue, ...]] = {}
+        for concept_id, cell in cells.items():
+            one = cell[1]
+            if one.__class__ is tuple:
+                if len(cell) == 2:  # one valid value, as most cells hold
+                    fields[concept_id] = one
+                    continue
+            elif plan_of(concept_id) is None:  # record metadata: a warning at index 1
+                warnings += cell[2:3]
+                continue
+            values: list[FieldValue] = []
+            for one in cell[1:]:
+                if one.__class__ is tuple:
+                    values += one
+                elif one is not None:
+                    warnings.append(one)
+            if len(values) > 1 and plan_of(concept_id)[1]:  # single-valued: the first counts
+                warnings.append(f"line {cell[0]}: {concept_id!r} holds a single value; "
+                                f"{len(values) - 1} extra value(s) dropped")
+                del values[1:]
+            if values:
+                fields[concept_id] = tuple(values)
+        controller_name = cells.get(META_CONTROLLER_NAME, (0, None))[1]
         if not controller_name:
-            tagged.append((number, None, 0,
-                           f"record {rid!r}: missing {META_CONTROLLER_NAME}; "
-                           f"using {FALLBACK_CONTROLLER_NAME!r}"))
+            warnings.append(f"record {rid!r}: missing {META_CONTROLLER_NAME}; "
+                            f"using {FALLBACK_CONTROLLER_NAME!r}")
             controller_name = FALLBACK_CONTROLLER_NAME
         elif has_surrogate(controller_name):
-            tagged.append((number, None, 0,
-                           f"record {rid!r}: controller name {controller_name!r} holds a "
-                           f"lone surrogate; using {FALLBACK_CONTROLLER_NAME!r}"))
+            warnings.append(f"record {rid!r}: controller name {controller_name!r} holds a "
+                            f"lone surrogate; using {FALLBACK_CONTROLLER_NAME!r}")
             controller_name = FALLBACK_CONTROLLER_NAME
-        created = meta.get((number, META_CREATED))
+        created = cells.get(META_CREATED, (0, None))[1]
         if created is None:
-            tagged.append((number, None, 1,
-                           f"record {rid!r}: missing {META_CREATED}; "
-                           f"using {FALLBACK_CREATED!r}"))
+            warnings.append(f"record {rid!r}: missing {META_CREATED}; "
+                            f"using {FALLBACK_CREATED!r}")
             created = FALLBACK_CREATED
         elif not is_xsd_datetime(created):
-            tagged.append((number, None, 1,
-                           f"record {rid!r}: invalid created timestamp {created!r}; "
-                           f"using {FALLBACK_CREATED!r}"))
+            warnings.append(f"record {rid!r}: invalid created timestamp {created!r}; "
+                            f"using {FALLBACK_CREATED!r}")
             created = FALLBACK_CREATED
+        cells.clear()  # its cells are no longer needed
         records.append(RopaRecord(rid, controller_name, created, fields))
-
-    # A record's metadata warnings come after those of its cells.
-    cells_of = [cells for _, _, cells in by_record.values()]
-    places: dict[int, dict[str, int]] = {}
-
-    def order(warning):
-        number, concept_id, at, _ = warning
-        place = places.get(number)
-        if place is None:
-            place = places[number] = {c: i for i, c in enumerate(cells_of[number])}
-        return number, place.get(concept_id, len(place)), at
-
-    tagged.sort(key=order)
-    return records, [warning[3] for warning in tagged]
+    return records, warnings
 
 
 def _last_fields(value: FieldValue | str) -> tuple[str, str]:

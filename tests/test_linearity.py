@@ -7,21 +7,30 @@ which swings from run to run, cannot.  Each stage runs on seeded registers of
 N and 4N records; its calls may grow by at most 4.4 times.  The parse's peak
 is held to a budget per input byte, about 10 % above the 7.48 bytes it took
 when the budget was set.  A change that lowers the peak lowers the budget.
+One check, on the length of a single cell, is timed instead (see there).
 """
 
+import gc
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 from ropa_dpv import Jurisdiction, parse_canonical, validate_against_profile, write_canonical
+from ropa_dpv.template_io import CANONICAL_HEADER
 from conftest import random_record
 
 N = 100
 MAX_RATIO = 4.4
 #: Traced peak of ``parse_canonical`` per byte of input, at 4N records.
 PARSE_PEAK_PER_BYTE = 8.2
+#: Values in the shorter of the two single cells timed below.
+CELL = 5000
+#: Largest ratio of the parse time of a cell of 4 * CELL values to that of
+#: CELL values: linear work gives about 4.
+MAX_CELL_TIME_RATIO = 8
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +95,41 @@ def test_parse_peak_stays_within_its_budget_per_input_byte(registry, registers):
             tracemalloc.stop()
         assert len(warnings) == len(records) // 4
         assert peak <= PARSE_PEAK_PER_BYTE * len(source), (peak, len(source))
+
+
+def _one_cell(size: int, reverse: bool) -> bytes:
+    """A register of one record, whose ``processor`` cell holds ``size``
+    values, its indexes in order or in reverse."""
+    indexes = range(size - 1, -1, -1) if reverse else range(size)
+    rows = "".join(f"pa-1,processor,{i},TEXT,p{i}\n" for i in indexes)
+    return (",".join(CANONICAL_HEADER) + "\n" + rows).encode()
+
+
+def _fastest_parse(registry, size: int, reverse: bool, runs=3) -> float:
+    """The least wall time of ``runs`` parses of :func:`_one_cell`, with
+    ``gc`` off."""
+    source = _one_cell(size, reverse)
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(runs):
+            start = time.perf_counter()
+            records, _ = parse_canonical(source, registry)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert len(records[0].fields["processor"]) == size
+    return best
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in_order", "reversed"])
+def test_parse_time_grows_linearly_with_the_length_of_one_cell(registry, reverse):
+    """A cell's values are gathered without copying the values gathered so far.
+
+    A copy of the whole cell per value is quadratic, but it is made inside
+    one C call (a tuple concatenation, say): the call counts above do not
+    change, and the traced peak holds only one copy at a time.  So this check
+    is timed.  The least of three runs per size is compared; a copy per value
+    gave a ratio of 14 or more."""
+    small, large = (_fastest_parse(registry, size, reverse) for size in (CELL, 4 * CELL))
+    assert large <= MAX_CELL_TIME_RATIO * small, (small, large)

@@ -266,6 +266,22 @@ _HEADER_LINE = ",".join(CANONICAL_HEADER) + "\n"
 # ... and a second created time, not next to the first.
 @example(text=_HEADER_LINE + "A,_meta:created,0,TEXT,2024-03-01T10:00:00Z\n"
          "A,processor,0,TEXT,x\nA,_meta:created,1,TEXT,2024-03-01\n")
+# An index that comes early waits until the one before it is read: a cell
+# whose early index is filed and which then has a gap is reported at its
+# first row (line 2), not at its index 0 ...
+@example(text=_HEADER_LINE + "A,processor,1,TEXT,y\nA,processor,0,TEXT,x\n"
+         "A,processor,3,TEXT,z\n")
+# ... of two cells with a gap, the one whose first row comes first is
+# reported, though its gap shows after the other's ...
+@example(text=_HEADER_LINE + "A,processor,0,TEXT,x\nA,data-controller,1,TEXT,z\n"
+         "A,processor,2,TEXT,y\n")
+# ... a single-valued cell whose index 0 comes after its index 1 is reported
+# at its index 0's line ...
+@example(text=_HEADER_LINE + "A,privacy-notice,1,URI,urn:x\n"
+         "A,privacy-notice,0,URI,https://example.com/a\n")
+# ... and an index read twice while it waits is a duplicate.
+@example(text=_HEADER_LINE + "A,processor,0,TEXT,x\nA,processor,2,TEXT,y\n"
+         "A,processor,2,TEXT,z\nA,processor,1,TEXT,w\n")
 def test_parse_canonical_matches_reference(text):
     outcome = _outcome(parse_canonical, text)
     expected = _outcome(canonical_reference.parse_canonical, text)

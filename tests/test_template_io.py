@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import io
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -33,6 +35,7 @@ from ropa_dpv import (
     to_graph,
     write_canonical,
 )
+from ropa_dpv.template_io import _read
 from conftest import CREATED, populate
 
 HEADER = "record_id,concept_id,value_index,value_kind,value\n"
@@ -401,6 +404,77 @@ def test_reading_a_long_field_puts_the_csv_field_limit_back(registry, long_value
         assert csv.field_size_limit() == limit == 131_072
         with pytest.raises(csv.Error, match="field larger than field limit"):
             list(csv.reader(io.StringIO(text)))
+
+
+def test_reads_in_two_threads_never_lower_the_field_limit_under_each_other():
+    """The first read raises the field limit and pauses; the second, whose
+    field is shorter than the first's but longer than the default limit,
+    starts meanwhile and reads only after the first has put the limit back.
+    Unless the two reads take turns, the second reads with the default limit
+    and fails."""
+    first_started, second_started, first_done = (threading.Event() for _ in range(3))
+    outcomes = {}
+
+    def first(reader):
+        first_started.set()
+        second_started.wait(timeout=0.5)  # never set while the reads take turns
+        return list(reader)
+
+    def second(reader):
+        second_started.set()
+        first_done.wait(timeout=10)
+        return list(reader)
+
+    def run(name, source, parse, done=None):
+        try:
+            outcomes[name] = len(_read(source, parse)[0][0])
+        except MalformedCsv as exc:  # reported by the assert below
+            outcomes[name] = exc
+        finally:
+            if done is not None:
+                done.set()
+
+    threads = [
+        threading.Thread(target=run, args=("first", "x" * 300_000, first, first_done)),
+        threading.Thread(target=run, args=("second", "y" * 200_000, second)),
+    ]
+    threads[0].start()
+    assert first_started.wait(timeout=10)
+    threads[1].start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == {"first": 300_000, "second": 200_000}
+    assert csv.field_size_limit() == 131_072
+
+
+def test_many_threads_read_long_fields_at_once():
+    """Four threads read fields of different lengths, all longer than the
+    default limit, with the interpreter switching threads often."""
+    sizes = [150_000 + 50_000 * n for n in range(4)]
+    outcomes = {size: [] for size in sizes}
+
+    def run(size):
+        source = "x" * size
+        for _ in range(25):
+            try:
+                outcomes[size].append(len(_read(source, list)[0][0]))
+            except MalformedCsv as exc:  # reported by the assert below
+                outcomes[size].append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(size,)) for size in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outcomes == {size: [size] * 25 for size in sizes}
+    assert csv.field_size_limit() == 131_072
 
 
 def test_a_leading_bom_is_skipped(registry, full_record):
