@@ -11,12 +11,22 @@ Two CSV shapes are handled here:
 
 The canonical file is read in two steps.  First each row is read once and
 filed in its cell, as what it yields (its value, or the warning for a value
-dropped), through a per-call memo keyed by ``(concept_id, kind_tag, value)``;
-an index read before the one it follows waits until that one is filed.
-Then each record is built from its cells, in order.  So warnings come in
-record order (by each record id's first row), then by cell (each concept's
-first row in the record), then by value index, then the record's own
-metadata warnings.
+dropped); an index read before the one it follows waits until that one is
+filed.  Then each record is built from its cells, in order.  So warnings
+come in record order (by each record id's first row), then by cell (each
+concept's first row in the record), then by value index, then the record's
+own metadata warnings.
+
+Rows are read from the text split at LF, not through ``csv`` over a copy of
+it.  A row's *tail*, the text after its record id's comma, repeats across
+records, so a per-call memo maps each tail to its fields and its valid
+value's shared 1-tuple: a row whose tail was seen costs one split and one
+lookup.  A new line that holds neither ``"`` nor CR is split at commas,
+which is what ``csv`` makes of it; any other line goes to one strict
+``csv.reader``, which reads on into the next lines while a quoted value
+spans them.  Only rows of one line whose record id holds no ``"`` or CR are
+memoised.  A value that fails is not: it is resolved, and warned, at each
+row.
 
 Parsing is forgiving: schema violations become warnings and the offending
 value is dropped.  Structural failures (invalid UTF-8, bad quoting, a wrong
@@ -191,13 +201,58 @@ def _representable(values: Iterable[FieldValue]) -> bool:
 _FIELD_LIMIT_LOCK = _thread.allocate_lock()
 
 
-def _read(source: bytes | str, parse):
-    """``parse(reader)`` over a strict ``csv.reader`` of ``source``.
+def _lf_lines(head: list[str], rest):
+    """Each line with its LF: the one in ``head`` if any, else the next of
+    ``rest``.  Not a method: a generator holding its :class:`_Lines` would
+    make a cycle, which the CLI, with ``gc`` off, never frees."""
+    while (line := head.pop() if head else next(rest, None)) is not None:
+        yield line + "\n"
+
+
+class _Lines:
+    """A text's lines, split at LF, for a parse that reads most lines itself.
+
+    ``rest`` gives the lines not yet read, without their LF.  :meth:`row`
+    gives the row that a strict ``csv.reader`` reads from a line just taken
+    from ``rest``, and from the lines after it that a quoted value spans.
+    Iterating gives that reader's rows of the lines left.  :attr:`line_num`
+    is the number of the last line taken, as the reader's own would be."""
+
+    def __init__(self, text: str):
+        lines = text.split("\n")
+        if not lines[-1]:  # the text ends with LF, or is empty
+            lines.pop()
+        self._count = len(lines)
+        self.rest = iter(lines)
+        self._head: list[str] = []
+        self._reader = csv.reader(_lf_lines(self._head, self.rest), strict=True)
+
+    def row(self, line: str) -> list[str]:
+        self._head.append(line)
+        return next(self._reader)
+
+    def __iter__(self):
+        return self._reader
+
+    @property
+    def line_num(self) -> int:
+        return self._count - self.rest.__length_hint__()
+
+
+def _read(source: bytes | str, parse, *, by_line: bool = False):
+    """``parse(reader)`` over a strict ``csv.reader`` of ``source``, or, with
+    ``by_line``, over the :class:`_Lines` of its text.
+
+    The canonical parse reads by line: it reads most rows itself, so it
+    needs neither ``csv`` for them nor the ``io.StringIO`` copy, at 4 bytes a
+    character, of the text.  A template is read through ``csv``: it shares
+    few rows, and ``csv`` over split lines reads it more slowly.
 
     This owns the error precedence of the module docstring: when ``parse``
     raises a :class:`RopaError`, the rest of the file is read, and a CSV
-    error found there raises instead, as :class:`MalformedCsv`.  Bytes lose a
-    leading BOM, which spreadsheets write.
+    error found there raises instead, as :class:`MalformedCsv` at the line
+    ``reader.line_num`` gives.  Bytes lose a leading BOM, which spreadsheets
+    write.
 
     No field is longer than its input, so while ``parse`` runs,
     ``csv.field_size_limit`` is raised to that length if it is lower, and the
@@ -219,7 +274,11 @@ def _read(source: bytes | str, parse):
         raised = limit < len(source)
         if raised:
             csv.field_size_limit(len(source))
-        reader = csv.reader(io.StringIO(source), strict=True)
+        if by_line:
+            reader = _Lines(source)
+            source = None  # each line is a copy: the text can go
+        else:
+            reader = csv.reader(io.StringIO(source), strict=True)
         try:
             try:
                 return parse(reader)
@@ -281,28 +340,33 @@ def parse_canonical(
     Returns records in file order plus warnings for every dropped value.
     Structural problems raise :class:`MalformedCsv` or :class:`DuplicateCell`.
     """
-    return _read(source, lambda reader: _canonical_records(reader, registry))
+    return _read(source, lambda lines: _canonical_records(lines, registry), by_line=True)
+
+
+_CANONICAL_HEADER_LINE = ",".join(CANONICAL_HEADER)
 
 
 def _canonical_records(
-    reader, registry: ConceptRegistry
+    lines: _Lines, registry: ConceptRegistry
 ) -> tuple[list[RopaRecord], list[str]]:
-    """:func:`parse_canonical` over the rows of ``reader``: each row is filed
-    in its cell as it is read, then each record is built from its cells."""
-    header = next(reader, None)
-    if header is None or tuple(header) != CANONICAL_HEADER:
-        raise MalformedCsv(1, f"expected header {','.join(CANONICAL_HEADER)}")
+    """:func:`parse_canonical` over ``lines``: each row is filed in its cell
+    as it is read, then each record is built from its cells."""
+    header = next(lines.rest, None)
+    if header != _CANONICAL_HEADER_LINE and (
+        header is None or tuple(lines.row(header)) != CANONICAL_HEADER
+    ):
+        raise MalformedCsv(1, f"expected header {_CANONICAL_HEADER_LINE}")
     plan_of = functools.cache(lambda concept_id: _concept_plan(concept_id, registry))
     # Looked up per call, so that a wrapper put on the class is called.
-    from_lexical = functools.cache(FieldValue.from_lexical)
-    # (concept_id, kind_tag, value) -> the 1-tuple of its FieldValue.  An entry
-    # that is dropped is not cached: it is resolved, and warned, each time.
-    resolved: dict[tuple[str, str, str], tuple[FieldValue]] = {}
+    from_lexical = FieldValue.from_lexical
+    # (kind, value) -> the 1-tuple of its FieldValue.  A value that fails is
+    # not cached: it is resolved, and warned, each time.
+    one_of = functools.cache(lambda kind, value: (from_lexical(kind, value),))
 
     def entry(concept_id, index, line, kind_tag, value):
-        """What the row at ``index`` of a cell files there: its value's
-        1-tuple, the warning for a value dropped, record metadata's value at
-        index 0, or None."""
+        """What the row at ``index`` of a cell files there when it holds no
+        value of the concept's kind: record metadata's value at index 0, the
+        warning for a value dropped, or None."""
         plan = plan_of(concept_id)
         if plan is None:  # record metadata: its first value counts
             if index == 0:
@@ -310,80 +374,100 @@ def _canonical_records(
             return f"line {line}: extra {concept_id} value(s) ignored" if index == 1 else None
         if plan.__class__ is str:
             return f"line {line}: {plan}" if index == 0 else None
-        kind = plan[0]
-        if kind_tag != kind:  # a ValueKind equals its tag
-            tag_kind = _KINDS.get(kind_tag)
-            if tag_kind is None:
-                text = f"unknown value kind {kind_tag!r} for {concept_id!r}"
-            else:
-                text = f"{concept_id!r} expects {kind.value}, got {tag_kind.value}"
-            return f"line {line}: {text}; value dropped"
-        try:
-            one = resolved[concept_id, kind_tag, value] = (from_lexical(kind, value),)
-        except ValueError as exc:
-            return f"line {line}: {concept_id!r}: {exc}; value dropped"
-        return one
+        tag_kind = _KINDS.get(kind_tag)
+        if tag_kind is None:
+            text = f"unknown value kind {kind_tag!r} for {concept_id!r}"
+        else:
+            text = f"{concept_id!r} expects {plan[0].value}, got {tag_kind.value}"
+        return f"line {line}: {text}; value dropped"
 
+    # A row's tail, the text after its record id's comma -> (concept_id, index
+    # or None if it is no integer, kind_tag, value, its value's 1-tuple or
+    # None), for rows read from one line whose record id holds no '"' or CR:
+    # any such row is its record id and its tail's fields.
+    tails: dict[str, tuple[str, int | None, str, str, tuple[FieldValue] | None]] = {}
     # record_id -> {concept_id: cell}, both in order of first appearance.  A
     # cell is [line of index 0, entry 0, entry 1, ...]; before its index 0 is
     # read, it holds only the line of its first row.
     by_record: dict[str, dict[str, list]] = {}
     # (record_id, concept_id) -> (line of the cell's first row, {index: (line,
-    # kind_tag, value)}): the indexes read before the one they follow.  It is
-    # kept when emptied, since a gap found later is raised at that line.
-    pending: dict[tuple[str, str], tuple[int, dict[int, tuple[int, str, str]]]] = {}
+    # kind_tag, value, entry or None)}): the indexes read before the one they
+    # follow.  It is kept when emptied, since a gap found later is raised at
+    # that line.
+    pending: dict[tuple[str, str], tuple[int, dict[int, tuple]]] = {}
     # The rows of a record are adjacent in a written file: its cells are
     # looked up again only when the record id changes.
     record_id = None
-    for row in reader:
-        try:
+    skipped = 0  # lines read so far after a row's first, by csv
+    for n, text in enumerate(lines.rest, 2):
+        rid, _, tail = text.partition(",")
+        known = tails.get(tail)
+        # A record id that is quoted, or holds CR, is read again by csv.
+        if known is not None and (rid == record_id or '"' not in rid and "\r" not in rid):
+            concept_id, index, kind_tag, value, one = known
+            key = None
+        else:
+            if '"' not in text and "\r" not in text:  # csv would split it at commas
+                row = text.split(",") if text else []
+                key = tail
+            else:  # csv reads it, with the lines that a quoted value spans
+                row = lines.row(text)
+                last = lines.line_num
+                one_line = last == n + skipped and '"' not in rid and "\r" not in rid
+                key = tail if one_line else None
+                skipped = last - n
+            if len(row) != 5:
+                raise MalformedCsv(n + skipped, f"expected 5 columns, got {len(row)}")
             rid, concept_id, index_cell, kind_tag, value = row
-        except ValueError:
-            raise MalformedCsv(
-                reader.line_num, f"expected 5 columns, got {len(row)}"
-            ) from None
+            try:
+                index = int(index_cell)
+            except ValueError:
+                index = None
+            one = None
+        if one is None:  # a row just read, or one whose value is not kept
+            plan = plan_of(concept_id)
+            if plan.__class__ is tuple and kind_tag == plan[0]:  # a ValueKind equals its tag
+                try:
+                    one = one_of(plan[0], value)
+                except ValueError as exc:
+                    one = f"line {n + skipped}: {concept_id!r}: {exc}; value dropped"
+        if key is not None:
+            kept = one if one.__class__ is tuple else None  # not a warning: it has a line
+            tails[key] = (concept_id, index, kind_tag, value, kept)
         if rid != record_id:
             record_id = rid
             cells = by_record.get(rid)
             if cells is None:
                 if not _RECORD_ID_RE.fullmatch(rid):
-                    raise MalformedCsv(reader.line_num, f"invalid record id {rid!r}")
+                    raise MalformedCsv(n + skipped, f"invalid record id {rid!r}")
                 cells = by_record[rid] = {}
         cell = cells.get(concept_id)
-        if cell is None and index_cell == "0":  # a cell's first row, read without int()
-            line = reader.line_num
-            cells[concept_id] = [line, resolved.get((concept_id, kind_tag, value))
-                                 or entry(concept_id, 0, line, kind_tag, value)]
+        line = n + skipped
+        if cell is None and index == 0:  # a cell's first row
+            cells[concept_id] = [line, one or entry(concept_id, 0, line, kind_tag, value)]
             continue
-        try:
-            index = int(index_cell)
-        except ValueError:
-            raise MalformedCsv(
-                reader.line_num, f"value_index is not an integer: {index_cell!r}"
-            ) from None
+        if index is None:  # only a row just read can hold one
+            raise MalformedCsv(line, f"value_index is not an integer: {index_cell!r}")
         if index < 0:
-            raise MalformedCsv(reader.line_num, f"negative value_index {index}")
-        line = reader.line_num
+            raise MalformedCsv(line, f"negative value_index {index}")
         if cell is None:
             cell = cells[concept_id] = [line]
         if index == len(cell) - 1:  # it follows the cell's last index
             if index == 0:
                 cell[0] = line
-            cell.append(resolved.get((concept_id, kind_tag, value))
-                        or entry(concept_id, index, line, kind_tag, value))
+            cell.append(one or entry(concept_id, index, line, kind_tag, value))
             if pending and (rid, concept_id) in pending:  # the indexes that follow it
                 waiting = pending[rid, concept_id][1]
                 while (index := index + 1) in waiting:
-                    line, kind_tag, value = waiting.pop(index)
-                    cell.append(resolved.get((concept_id, kind_tag, value))
-                                or entry(concept_id, index, line, kind_tag, value))
+                    line, kind_tag, value, one = waiting.pop(index)
+                    cell.append(one or entry(concept_id, index, line, kind_tag, value))
         elif index < len(cell) - 1:
             raise DuplicateCell(rid, concept_id, index)
         else:
             waiting = pending.setdefault((rid, concept_id), (cell[0], {}))[1]
             if index in waiting:
                 raise DuplicateCell(rid, concept_id, index)
-            waiting[index] = (line, kind_tag, value)
+            waiting[index] = (line, kind_tag, value, one)
 
     # An index still waiting is a gap: the first such cell in the file is raised.
     gaps = [(first, rid, cid) for (rid, cid), (first, waiting) in pending.items() if waiting]

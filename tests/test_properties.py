@@ -172,17 +172,27 @@ _CANON_LEXICALS = [
     "Acme GmbH", "", "marketing", "P1Y", "1Y", "true", "maybe",
     "https://example.com/a", "not an iri", "2024-03-01T10:00:00Z", "2024-03-01",
     "a\ud800b", 'x;y\n"z"', "P2W", "P1W2D", "20240301", "2024-W10-1",
+    # a value whose lines after its first are a row's tail and a whole row
+    "a\nprocessor,0,TEXT,marketing\npa-1,processor,0,TEXT,marketing\n",
 ]
-_CANON_FAULTS = ["duplicate", "gap", "index", "record_id", "columns", "out_of_order"]
+_CANON_FAULTS = [
+    "duplicate", "gap", "index", "record_id", "columns", "out_of_order", "repeat",
+    "quoted_id", "bare_cr", "empty_line",
+]
 
 
 @st.composite
 def canonical_files(draw):
-    """Canonical CSV text: records interleaved, rows shuffled, up to two faults.
+    """Canonical CSV text: records interleaved, rows shuffled, up to two
+    faults, lines ended by LF or CRLF.
 
     The ``out_of_order`` fault puts a cell's rows in a row's place, with
     indexes 1, 0 or 0, 2, 1, and maybe a repeat of one of them: a cell that
     starts as an index map, and one that starts as a tuple and turns into one.
+    Other faults put a row's tail after another record id (``repeat``), quote
+    a row's record id, put a bare CR into a row, or add an empty line.  A
+    ``columns`` fault may drop the record id or add one, so that the line
+    left, or its tail, is an earlier row's.
     """
     cells = draw(st.lists(
         st.tuples(
@@ -202,15 +212,30 @@ def canonical_files(draw):
             rows.append([record_id, concept_id, str(index), tag,
                          draw(st.sampled_from(_CANON_LEXICALS))])
     rows = draw(st.permutations(rows))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
     for fault in draw(st.lists(st.sampled_from(_CANON_FAULTS), max_size=2)):
         if not rows:
             break
         at = draw(st.integers(0, len(rows) - 1))
-        row = list(rows[at])
+        row = rows[at]
+        if isinstance(row, str):  # a line that an earlier fault wrote
+            continue
+        row = list(row)
         if fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), row)
+        elif fault == "repeat":
+            row[0] = draw(st.sampled_from(_CANON_RECORD_IDS))
             rows.insert(draw(st.integers(0, len(rows))), row)
         elif fault == "gap":
             del rows[at]
+        elif fault == "empty_line":
+            rows.insert(at, end)
+        elif fault == "quoted_id":
+            rows[at] = '"' + row[0] + '",' + _csv_text(row[1:], end)
+        elif fault == "bare_cr":
+            line = _csv_text(row, end)
+            cut = draw(st.integers(0, len(line) - len(end)))
+            rows[at] = line[:cut] + "\r" + line[cut:]
         elif fault == "out_of_order":
             order = draw(st.sampled_from([[1, 0], [0, 2, 1]]))
             cell = [[*row[:2], str(index), *row[3:]] for index in order]
@@ -226,10 +251,20 @@ def canonical_files(draw):
             elif fault == "record_id":
                 row[0] = draw(st.sampled_from(["", "pa 1", "a\u00e9"]))
             else:
-                row = row[:4] if draw(st.booleans()) else row + ["extra"]
+                row = draw(st.sampled_from(
+                    [row[:4], row + ["extra"], row[1:], [_CANON_RECORD_IDS[0], *row]]
+                ))
             rows[at] = row
+    return "".join(
+        row if isinstance(row, str) else _csv_text(row, end)
+        for row in [CANONICAL_HEADER, *rows]
+    )
+
+
+def _csv_text(row, end: str) -> str:
+    """``row`` as ``csv.writer`` writes it, ended by ``end``."""
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows([CANONICAL_HEADER, *rows])
+    csv.writer(out, lineterminator=end).writerow(row)
     return out.getvalue()
 
 
@@ -282,6 +317,36 @@ _HEADER_LINE = ",".join(CANONICAL_HEADER) + "\n"
 # ... and an index read twice while it waits is a duplicate.
 @example(text=_HEADER_LINE + "A,processor,0,TEXT,x\nA,processor,2,TEXT,y\n"
          "A,processor,2,TEXT,z\nA,processor,1,TEXT,w\n")
+# A row whose tail was seen before is read again only where the record id
+# before it is not plain: the same tail after a plain and a quoted record id,
+# as another record and as a duplicate cell ...
+@example(text=_HEADER_LINE + 'pa-1,processor,0,TEXT,x\n"pa-2",processor,0,TEXT,x\n')
+@example(text=_HEADER_LINE + 'pa-1,processor,0,TEXT,x\n"pa-1",processor,0,TEXT,x\n')
+# ... a quoted value's lines after its first, which are an earlier row's tail
+# and an earlier row, belong to that value, and the first line of a value of
+# many lines is read again when it repeats ...
+@example(text=_HEADER_LINE + 'pa-1,processor,0,TEXT,x\npa-1,data-controller,0,TEXT,"a\n'
+         'processor,0,TEXT,x\npa-1,processor,0,TEXT,x\n"\npa-2,processor,0,TEXT,x\n'
+         'pa-2,data-controller,0,TEXT,"a\nb"\n')
+# ... lines may end in CRLF, and a bare CR makes a row whose tail was seen a
+# CSV error ...
+@example(text=_HEADER_LINE.replace("\n", "\r\n") + "pa-1,processor,0,TEXT,x\r\n"
+         "pa-2,processor,0,TEXT,x\r\npa-2,data-controller,0,TEXT,x\r\n")
+@example(text=_HEADER_LINE + "pa-1,processor,0,TEXT,x\npa-2\r,processor,0,TEXT,x\n")
+# ... an empty line has no columns, and a line that is an earlier row's tail,
+# or holds an earlier row after a record id, has 4 or 6 ...
+@example(text=_HEADER_LINE + "pa-1,processor,0,TEXT,x\n\npa-2,processor,0,TEXT,x\n")
+@example(text=_HEADER_LINE + "pa-1,processor,0,TEXT,x\nprocessor,0,TEXT,x\n")
+@example(text=_HEADER_LINE + "pa-1,processor,0,TEXT,x\npa-2,pa-1,processor,0,TEXT,x\n")
+# ... a value dropped from rows of the same tail is warned at each line ...
+@example(text=_HEADER_LINE + "pa-1,retention-deletion-periods,0,DURATION,soon\n"
+         "pa-2,retention-deletion-periods,0,DURATION,soon\n"
+         "pa-3,retention-deletion-periods,0,DURATION,soon\npa-3,processor,0,XX,x\n"
+         "pa-4,processor,0,XX,x\n")
+# ... and a CSV error after a duplicate cell read from a seen tail still wins,
+# at the line that csv counts.
+@example(text=_HEADER_LINE + 'pa-1,data-controller,0,TEXT,"a\nb"\npa-1,processor,0,TEXT,x\n'
+         'pa-1,processor,0,TEXT,x\npa-2,processor,0,TEXT,"x"y\n')
 def test_parse_canonical_matches_reference(text):
     outcome = _outcome(parse_canonical, text)
     expected = _outcome(canonical_reference.parse_canonical, text)

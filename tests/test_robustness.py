@@ -63,11 +63,17 @@ _REGISTER = write_canonical(
     REGISTRY,
 ).encode("utf-8")
 
+#: A row of the register, whose tail (the text after the record id) a
+#: record that holds the same value repeats.
+_ROW = _REGISTER.split(b"\n")[3]
 #: Inserted bytes: a quote, CR, NUL, a BOM, a byte that is never UTF-8,
 #: U+2028 and U+0085 (which ``str.splitlines`` takes for line ends), and
-#: IRI schemes that are JSON-LD context prefixes, with and without "//".
+#: IRI schemes that are JSON-LD context prefixes, with and without "//";
+#: then CRLF, LF (an empty line, or a line cut in two), a quoted record id,
+#: and a row of the register and its tail alone, each on a line of its own.
 _INSERTS = [b'"', b"\r", b"\0", "\ufeff".encode(), b"\xff", "\u2028".encode(),
-            "\u0085".encode(), b"dpv:x", b"xsd://x"]
+            "\u0085".encode(), b"dpv:x", b"xsd://x", b"\r\n", b"\n", b'"pa-1",',
+            b"\n" + _ROW + b"\n", b"\n" + _ROW.partition(b",")[2] + b"\n"]
 
 
 @st.composite
