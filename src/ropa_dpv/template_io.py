@@ -49,7 +49,7 @@ import functools
 import io
 import re
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DuplicateCell, HeaderMismatch, InvalidRecordId, MalformedCsv, RopaError, UnknownConcept,
@@ -173,26 +173,35 @@ def default_config(
 # -- cell encoding -------------------------------------------------------------
 
 # In-cell list separator is ";"; a literal ";" inside a value is escaped as
-# "\;".  A value whose lexical form ends with a backslash cannot be encoded
-# unambiguously and is reported as UNREPRESENTABLE_VALUE on export.
-
-
-def _escape(value: str) -> str:
-    return value.replace(";", "\\;")
+# "\;".  Import skips a cell that is blank after ``strip()``.  Export writes a
+# cell only where import reads the same values back, and reports the rest as
+# UNREPRESENTABLE_VALUE: values whose cell would be blank, and a value whose
+# lexical form ends with a backslash, which cannot be encoded unambiguously.
 
 
 def _unescape(cell: str) -> str:
     return cell.replace("\\;", ";")
 
 
-def _split_cell(cell: str) -> list[str]:
+def _cell_items(cell: str, many: bool) -> list[str]:
+    """What import reads from a cell: nothing if it is blank, else its one
+    value, or (``many``) each of its values."""
+    if not cell.strip():
+        return []
+    if not many:
+        return [_unescape(cell)]
     if "\\" not in cell:  # nothing is escaped
         return cell.split(";")
     return [_unescape(p) for p in re.split(r"(?<!\\);", cell)]
 
 
-def _representable(values: Iterable[FieldValue]) -> bool:
-    return not any(v.lexical.endswith("\\") for v in values)
+def _cell(values: tuple[FieldValue, ...]) -> str | None:
+    """The cell export writes for ``values``, or None if import would not read
+    them back."""
+    if any(v.lexical.endswith("\\") for v in values):
+        return None
+    cell = ";".join(v.lexical.replace(";", "\\;") for v in values)
+    return cell if _cell_items(cell, False) else None
 
 
 # -- CSV plumbing --------------------------------------------------------------
@@ -628,11 +637,11 @@ def _template_rows(
         number = len(records) + 1
         fields: dict[str, tuple[FieldValue, ...]] = {}
         for column, cell in zip(columns, row):
-            if column is None or not cell.strip():
+            if column is None:
                 continue
             cid, kind, many = column
             values = []
-            for item in _split_cell(cell) if many else [_unescape(cell)]:
+            for item in _cell_items(cell, many):
                 try:
                     values.append(memo(kind, item))
                 except ValueError as exc:
@@ -665,21 +674,17 @@ def export_template(
     """
     target = set(config.concept_ids)
     lost: list[tuple[str, LossReason]] = []
-    emitted: set[str] = set()
+    cells: dict[str, str] = {}
     for cid in sorted(record.fields, key=registry.table_index):
         if cid not in target:
             lost.append((cid, LossReason.NOT_IN_TARGET_PROFILE))
-        elif not _representable(record.fields[cid]):
+        elif (cell := _cell(record.fields[cid])) is None:
             lost.append((cid, LossReason.UNREPRESENTABLE_VALUE))
         else:
-            emitted.add(cid)
-
-    data_row = [
-        ";".join(_escape(v.lexical) for v in record.fields[cid]) if cid in emitted else ""
-        for cid in config.concept_ids
-    ]
+            cells[cid] = cell
+    data_row = [cells.get(cid, "") for cid in config.concept_ids]
     text = _csv_line(config.headers) + _csv_line(data_row)
-    return text, ConversionLossReport(tuple(lost), len(emitted))
+    return text, ConversionLossReport(tuple(lost), len(cells))
 
 
 def convert(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .records import FieldValue, Multiplicity, RopaRecord, ValueKind, ValueSchema
+from .records import Multiplicity, RopaRecord
 from .registry import ConceptRegistry, Jurisdiction, JurisdictionProfile
 
 
@@ -69,58 +69,23 @@ def _finding(concept: str, code: FindingCode, message: str) -> ValidationFinding
     return ValidationFinding(concept, _SEVERITY[code], code, message)
 
 
-def _value_findings(
-    concept_id: str,
-    schema: ValueSchema,
-    values: tuple[FieldValue, ...],
-    registry: ConceptRegistry,
-) -> list[ValidationFinding]:
-    """Check a concept's populated values against its schema.
-
-    ``set_field`` already enforces schemas, so TYPE_MISMATCH can only occur
-    for records deserialized from external files or built by hand.
-    UNKNOWN_TERM fires only for vocabularies that ship seeded terms;
-    vocabularies are free-growing, so these stay warnings.
-    """
-    kind = schema.kind
-    findings = [
-        _finding(concept_id, FindingCode.TYPE_MISMATCH,
-                 f"expected {kind.value} value, got {v.kind.value}")
-        for v in values
-        if v.kind is not kind
-    ]
-    if schema.multiplicity is Multiplicity.ONE and len(values) > 1:
-        findings.append(_finding(concept_id, FindingCode.TYPE_MISMATCH,
-                                 f"concept holds a single value, got {len(values)}"))
-    if kind in (ValueKind.TERM, ValueKind.TERM_LIST) and schema.vocabulary:
-        known = registry.known_terms(schema.vocabulary)
-        findings += [
-            _finding(concept_id, FindingCode.UNKNOWN_TERM,
-                     f"term {v.value!r} is not in vocabulary "
-                     f"{schema.vocabulary!r} (free-growing; informational)")
-            for v in values
-            if known and v.kind is kind and v.value not in known
-        ]
-    return findings
-
-
 def _plan(registry: ConceptRegistry, profile: JurisdictionProfile | None) -> tuple:
     """``(rows, gaps)`` for ``profile`` (None for Article 30), built on first use.
 
-    ``rows`` holds ``(concept_id, schema, kind, single, known terms or None,
-    missing finding or None)`` per concept, in table order.  For Article 30
-    only, ``gaps`` pairs each jurisdiction with its non-mandatory concepts.
+    ``rows`` holds ``(concept_id, kind, single, vocabulary, seeded terms or
+    None, missing finding or None)`` per concept, in table order.  For Article
+    30 only, ``gaps`` pairs each jurisdiction with its non-mandatory concepts.
     """
     plans = registry._plans
     plan = plans.get(profile)
     if plan is None:  # threads that race here build equal plans; either is kept
         rows = []
         for descriptor in registry.concepts:
-            cid, schema = descriptor.id, descriptor.value_schema
-            kind = schema.kind
+            cid = descriptor.id
+            kind, multiplicity, vocabulary = descriptor.value_schema
             known = None
-            if kind in (ValueKind.TERM, ValueKind.TERM_LIST) and schema.vocabulary:
-                known = registry.known_terms(schema.vocabulary) or None
+            if kind.value in ("TERM", "TERM_LIST") and vocabulary:
+                known = registry.known_terms(vocabulary) or None
             missing = None
             if descriptor.mandatory:
                 missing = _finding(cid, FindingCode.MISSING_MANDATORY,
@@ -128,14 +93,11 @@ def _plan(registry: ConceptRegistry, profile: JurisdictionProfile | None) -> tup
             elif profile is not None and cid in profile.concepts:
                 missing = _finding(cid, FindingCode.MISSING_PROFILE_FIELD,
                                    f"{profile.jurisdiction.value} template expects {cid!r}")
-            rows.append((cid, schema, kind, schema.multiplicity is Multiplicity.ONE,
-                         known, missing))
-        gaps = ()
-        if profile is None:
-            mandatory = registry.mandatory_concepts()
-            gaps = tuple(
-                (j, registry.profiles[j].concepts.difference(mandatory)) for j in Jurisdiction
-            )
+            rows.append((cid, kind, multiplicity is Multiplicity.ONE, vocabulary, known, missing))
+        gaps = () if profile is not None else tuple(
+            (j, registry.profiles[j].concepts.difference(registry.mandatory_concepts()))
+            for j in Jurisdiction
+        )
         plan = plans[profile] = (tuple(rows), gaps)
     return plan
 
@@ -146,24 +108,38 @@ def _validate(
     profile: JurisdictionProfile | None,
 ) -> ValidationReport:
     # Populated means present in ``record.fields``, even with no values.  A
-    # populated concept's findings are built only when a value is of the
-    # wrong kind, is one too many or is an unseeded term; _value_findings
-    # emits them in code order.
+    # populated concept's findings are built, in code order, only when a value
+    # is of the wrong kind, is one too many or is an unseeded term.
+    # ``set_field`` already enforces kinds and multiplicity, so TYPE_MISMATCH
+    # can only occur for records deserialized from external files or built by
+    # hand.  Vocabularies are free-growing, so UNKNOWN_TERM stays a warning.
     fields = record.fields
     findings: list[ValidationFinding] = []
-    for cid, schema, kind, single, known, missing in _plan(registry, profile)[0]:
+    for cid, kind, single, vocabulary, known, missing in _plan(registry, profile)[0]:
         values = fields.get(cid)
         if values is None:
             if missing is not None:
                 findings.append(missing)
+            continue
+        for v in values:
+            if v.kind is not kind or (known is not None and v.value not in known):
+                break
         else:
-            for v in values:
-                if v.kind is not kind or (known is not None and v.value not in known):
-                    break
-            else:
-                if not (single and len(values) > 1):
-                    continue
-            findings += _value_findings(cid, schema, values, registry)
+            if not (single and len(values) > 1):
+                continue
+        # No comprehension here: on 3.11 it would make the loop's names closure cells.
+        for v in values:
+            if v.kind is not kind:
+                findings.append(_finding(cid, FindingCode.TYPE_MISMATCH,
+                                         f"expected {kind.value} value, got {v.kind.value}"))
+        if single and len(values) > 1:
+            findings.append(_finding(cid, FindingCode.TYPE_MISMATCH,
+                                     f"concept holds a single value, got {len(values)}"))
+        for v in values if known is not None else ():
+            if v.kind is kind and v.value not in known:
+                findings.append(_finding(cid, FindingCode.UNKNOWN_TERM,
+                                         f"term {v.value!r} is not in vocabulary "
+                                         f"{vocabulary!r} (free-growing; informational)"))
     return ValidationReport(findings=tuple(findings))
 
 

@@ -3,11 +3,13 @@
 This is the straightforward form of ``ropa_dpv.template_io.parse_canonical``:
 every row is kept in a per-cell entry list and a set of seen
 ``(record, concept, index)`` keys, and each cell's indexes are sorted to
-check that they run from 0 without a gap.  The package reads each row once,
-straight into its record's fields, and keeps the rows only of a cell whose
-indexes arrive out of order; it must give the same records, with their
-fields in the same order, and the same warnings, or raise the same exception
-with the same text, as this.
+check that they run from 0 without a gap.  The package reads the text line
+by line and files each row in its cell as it is read, holding back only an
+index that arrives before the one it follows; then it builds each record
+from its cells.  It reads each distinct row tail, the text after the record
+id's comma, once per call, and looks up any repeat of it.  It must give the
+same records, with their fields in the same order, and the same warnings, or
+raise the same exception with the same text, as this.
 """
 
 from __future__ import annotations
@@ -208,11 +210,14 @@ def write_canonical(records, registry):
 
 def export_template_text(record, config):
     """The text ``export_template`` writes: the header row and one data row,
-    with a cell left empty for each concept that is absent or lost."""
-    data_row = [
-        ";".join(v.lexical.replace(";", "\\;") for v in record.values(cid))
-        if not any(v.lexical.endswith("\\") for v in record.values(cid))
-        else ""
-        for cid in config.concept_ids
-    ]
+    with a cell left empty for each concept that is absent or lost.  A
+    concept is lost if a value ends with a backslash, or if its cell would
+    be blank after ``strip()``, which ``import_template`` skips."""
+    data_row = []
+    for cid in config.concept_ids:
+        values = record.values(cid)
+        cell = ";".join(v.lexical.replace(";", "\\;") for v in values)
+        if any(v.lexical.endswith("\\") for v in values) or not cell.strip():
+            cell = ""
+        data_row.append(cell)
     return _csv_text([config.headers, data_row])

@@ -26,6 +26,7 @@ from ropa_dpv import (
     default_config,
     export_template,
     gap_matrix,
+    import_template,
     load_registry,
     new_record,
     parse_canonical,
@@ -157,6 +158,38 @@ def test_export_template_matches_reference(record):
     for j in Jurisdiction:
         text, _ = export_template(record, CONFIGS[j], REGISTRY)
         assert text == canonical_reference.export_template_text(record, CONFIGS[j])
+
+
+#: Text the template cell encoding must keep apart: empty or blank (``\x1f``
+#: is blank to ``str.strip``), the list separator and the escape character.
+_cell_text = st.one_of(
+    st.text(alphabet=st.sampled_from(" \t\r\n\x1f;\\a"), max_size=4), _unicode_text
+)
+
+
+@st.composite
+def template_records(draw):
+    """Records whose text values may be empty or blank, or hold ``;`` and
+    ``\\``; built by hand, as ``new_record`` refuses an empty controller."""
+    chosen = draw(st.lists(st.sampled_from(ALL_IDS), unique=True, max_size=12))
+    fields = {cid: tuple(draw(_value_strategy(cid, _cell_text))) for cid in chosen}
+    return RopaRecord(draw(_record_id), "Acme GmbH", CREATED, fields)
+
+
+@_settings
+@given(record=template_records())
+@example(record=RopaRecord("blank", "Acme GmbH", CREATED,
+                           {"data-controller": (FieldValue(ValueKind.TEXT, "  "),)}))
+def test_template_import_reads_back_what_export_retains(record):
+    for j in Jurisdiction:
+        text, loss = export_template(record, CONFIGS[j], REGISTRY)
+        (imported,), warnings = import_template(text, CONFIGS[j], REGISTRY)
+        lost = {cid for cid, _ in loss.lost}
+        assert imported.fields == {
+            cid: values for cid, values in record.fields.items() if cid not in lost
+        }
+        assert loss.retained_count == len(imported.fields)
+        assert warnings == []
 
 
 _CANON_RECORD_IDS = ["pa-1", "pa-2", "b.3"]

@@ -708,6 +708,34 @@ def test_export_unrepresentable_value(registry, empty_record):
     assert "ends with backslash" not in text
 
 
+@pytest.mark.parametrize(
+    "cid, lexicals",
+    [
+        ("data-controller", [""]),
+        ("data-controller", ["  "]),
+        ("data-controller", ["\t"]),
+        ("data-controller", ["\r"]),
+        ("data-controller", ["\n"]),
+        ("data-controller", ["\x1f"]),
+        ("joint-controller", ["\n "]),
+        ("joint-controller", []),
+    ],
+    ids=["empty", "spaces", "tab", "cr", "lf", "unit-separator", "list", "no-values"],
+)
+def test_export_reports_a_cell_that_would_be_blank(registry, empty_record, cid, lexicals):
+    """Import skips a cell that is blank after ``strip()``, so export leaves it
+    empty and reports its concept, rather than count it as retained."""
+    kind = registry.concept(cid).value_schema.kind
+    record = empty_record._replace(fields={cid: tuple(FieldValue(kind, v) for v in lexicals)})
+    config = default_config(registry, Jurisdiction.UK)
+    text, loss = export_template(record, config, registry)
+    assert loss == (((cid, LossReason.UNREPRESENTABLE_VALUE),), 0)
+    assert text == canonical_reference.export_template_text(record, config)
+    assert text.splitlines()[1].strip(",") == ""
+    imported, _ = import_template(text, config, registry)
+    assert imported[0].fields == {}
+
+
 def test_export_import_round_trip_with_semicolons(registry, empty_record):
     config = default_config(registry, Jurisdiction.BE)
     record = set_field(

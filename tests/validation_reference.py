@@ -1,12 +1,14 @@
 """Reference validation for the identity tests.
 
-``_value_findings``, ``_validate`` and ``gap_matrix`` are the straightforward
-forms of those in ``ropa_dpv.validation``: each concept's schema is looked up
-in the registry and its values read through ``record.has`` and
-``record.values``, and ``gap_matrix`` reads the Article 30 report's counts
-through its properties for each jurisdiction.  The package validates from a
-plan per registry and profile instead; it must give equal reports and
-matrices: the same findings, in the same order, with the same messages.
+``_validate`` and ``gap_matrix`` are the straightforward forms of those in
+``ropa_dpv.validation``: each concept's schema is looked up in the registry
+and its values read through ``record.has`` and ``record.values``, each
+populated concept's values are checked by ``_value_findings``, and
+``gap_matrix`` reads the Article 30 report's counts through its properties
+for each jurisdiction.  The package validates from a plan per registry and
+profile instead, and builds a concept's findings from its row of the plan
+alone; it must give equal reports and matrices: the same findings, in the
+same order, with the same messages.
 """
 
 from __future__ import annotations
